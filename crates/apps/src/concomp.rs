@@ -18,6 +18,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Degree of the synthetic graph.
 pub const DEG: usize = 8;
@@ -53,17 +54,15 @@ impl GRecord for LabelledPage {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.page as u64);
-        view.set_u64(idx, 1, 0, self.label as u64);
-        for (i, l) in self.links.iter().enumerate() {
-            view.set_u64(idx, 2, i, *l as u64);
-        }
+        view.set_scalar(idx, 0, self.page);
+        view.set_scalar(idx, 1, self.label);
+        view.set_row(idx, 2, &self.links);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         LabelledPage {
-            page: reader.get_u64(idx, 0, 0) as u32,
-            label: reader.get_u64(idx, 1, 0) as u32,
-            links: std::array::from_fn(|i| reader.get_u64(idx, 2, i) as u32),
+            page: reader.scalar(idx, 0),
+            label: reader.scalar(idx, 1),
+            links: reader.row(idx, 2),
         }
     }
 }
@@ -90,13 +89,13 @@ impl GRecord for AggMsg {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.dst as u64);
-        view.set_u64(idx, 1, 0, self.label as u64);
+        view.set_scalar(idx, 0, self.dst);
+        view.set_scalar(idx, 1, self.label);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         AggMsg {
-            dst: reader.get_u64(idx, 0, 0) as u32,
-            label: reader.get_u64(idx, 1, 0) as u32,
+            dst: reader.scalar(idx, 0),
+            label: reader.scalar(idx, 1),
         }
     }
 }
@@ -134,10 +133,9 @@ pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaMinByKey", min_by_key_kernel);
     fabric.register_kernel("cudaCcScatter", |args: &mut KernelArgs<'_, '_>| {
         use std::collections::BTreeMap;
-        let def = LabelledPage::def();
-        let out_def = AggMsg::def();
+        let [def, out_def] = &*DEFS;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         // Scatter labels to self + neighbours, min-combining within the
         // block (segmented sort/reduce on a real device).
         let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
@@ -148,39 +146,41 @@ pub fn register_kernels(fabric: &GpuFabric) {
             }
         };
         for i in 0..n {
-            let label = reader.get_u64(i, 1, 0) as u32;
-            note(reader.get_u64(i, 0, 0) as u32, label);
-            for k in 0..DEG {
-                note(reader.get_u64(i, 2, k) as u32, label);
+            let label = reader.scalar::<u32>(i, 1);
+            note(reader.scalar(i, 0), label);
+            for dst in reader.row::<u32, DEG>(i, 2) {
+                note(dst, label);
             }
         }
         let capacity = n * (DEG + 1);
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, capacity);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
         let emitted = agg.len();
         for (i, (dst, label)) in agg.into_iter().enumerate() {
             AggMsg { dst, label }.store(&mut view, i);
         }
         KernelProfile::new(
             args.n_logical as f64 * (8 * (DEG + 1)) as f64,
-            args.n_logical as f64
-                * (LabelledPage::def().size() + 2 * (DEG + 1) * AggMsg::def().size()) as f64,
+            args.n_logical as f64 * (def.size() + 2 * (DEG + 1) * out_def.size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
     });
 }
 
+/// The kernels' record schemas, built once per process.
+static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [LabelledPage::def(), AggMsg::def()]);
+
 /// The GPU reducer kernel (the paper's gpuReduce): min-by-key over shuffled
 /// label messages within each block.
 fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     use std::collections::BTreeMap;
-    let def = AggMsg::def();
+    let def = &DEFS[1];
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
     for i in 0..n {
-        let dst = reader.get_u64(i, 0, 0) as u32;
-        let label = reader.get_u64(i, 1, 0) as u32;
+        let dst = reader.scalar::<u32>(i, 0);
+        let label = reader.scalar::<u32>(i, 1);
         match agg.get_mut(&dst) {
             Some(cur) => *cur = (*cur).min(label),
             None => {
@@ -188,14 +188,14 @@ fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
             }
         }
     }
-    let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
     for (i, (dst, label)) in agg.into_iter().enumerate() {
         AggMsg { dst, label }.store(&mut view, i);
     }
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AggMsg::def().size()) as f64,
+        args.n_logical as f64 * (2 * def.size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)

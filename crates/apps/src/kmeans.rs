@@ -17,7 +17,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Feature dimensionality.
 pub const D: usize = 16;
@@ -43,16 +43,12 @@ impl GRecord for Point {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.coords.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
+        view.set_row(idx, 0, &self.coords);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let mut coords = [0.0f32; D];
-        for (d, v) in coords.iter_mut().enumerate() {
-            *v = reader.get_f64(idx, 0, d) as f32;
+        Point {
+            coords: reader.row(idx, 0),
         }
-        Point { coords }
     }
 }
 
@@ -80,21 +76,15 @@ impl GRecord for Partial {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.center as u64);
-        view.set_u64(idx, 1, 0, self.count as u64);
-        for (d, v) in self.sums.iter().enumerate() {
-            view.set_f64(idx, 2, d, *v as f64);
-        }
+        view.set_scalar(idx, 0, self.center);
+        view.set_scalar(idx, 1, self.count);
+        view.set_row(idx, 2, &self.sums);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let mut sums = [0.0f32; D];
-        for (d, v) in sums.iter_mut().enumerate() {
-            *v = reader.get_f64(idx, 2, d) as f32;
-        }
         Partial {
-            center: reader.get_u64(idx, 0, 0) as u32,
-            count: reader.get_u64(idx, 1, 0) as u32,
-            sums,
+            center: reader.scalar(idx, 0),
+            count: reader.scalar(idx, 1),
+            sums: reader.row(idx, 2),
         }
     }
 }
@@ -140,41 +130,18 @@ pub fn register_kernels(fabric: &GpuFabric) {
 /// Inputs: `[points block (cached), centers (k·d f32)]`; output: `K`
 /// [`Partial`] records.
 fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = Point::def();
+    static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [Point::def(), Partial::def()]);
+    let [def, out_def] = &*DEFS;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-    let centers = args.inputs[1];
-    let mut sums = vec![[0.0f64; D]; K];
-    let mut counts = [0u32; K];
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let cbuf = args.inputs[1];
+    let centers = by_dimension(|c, d| cbuf.read_f32((c * D + d) * 4));
+    let mut acc = Accum::default();
     for i in 0..n {
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        for c in 0..K {
-            let mut d2 = 0.0f64;
-            for d in 0..D {
-                let pc = reader.get_f64(i, 0, d);
-                let cc = centers.read_f32((c * D + d) * 4) as f64;
-                let diff = pc - cc;
-                d2 += diff * diff;
-            }
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = c;
-            }
-        }
-        counts[best] += 1;
-        for d in 0..D {
-            sums[best][d] += reader.get_f64(i, 0, d);
-        }
+        acc.add(&reader.row::<f32, D>(i, 0).map(f64::from), &centers);
     }
-    let out_def = Partial::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, K);
-    for c in 0..K {
-        let partial = Partial {
-            center: c as u32,
-            count: counts[c],
-            sums: std::array::from_fn(|d| sums[c][d] as f32),
-        };
+    let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, K);
+    for (c, partial) in acc.partials().enumerate() {
         partial.store(&mut view, c);
     }
     KernelProfile::new(
@@ -183,41 +150,72 @@ fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     )
 }
 
-/// CPU-side assignment over one partition (the baseline's mapPartition).
-fn cpu_assign(points: &[Point], centers: &[[f32; D]; K]) -> Vec<Partial> {
-    let mut sums = vec![[0.0f64; D]; K];
-    let mut counts = [0u32; K];
-    for p in points {
+/// Per-center running sums of the points assigned so far: the body both
+/// engines share, so GPU and CPU partials are bit-identical per block.
+#[derive(Default)]
+struct Accum {
+    sums: [[f64; D]; K],
+    counts: [u32; K],
+}
+
+impl Accum {
+    /// Assign one (widened) point to its nearest center and fold it in.
+    /// `centers` is indexed `[d][c]` (see [`by_dimension`]).
+    #[inline]
+    fn add(&mut self, p: &[f64; D], centers: &[[f64; K]; D]) {
+        // The squared distances to all K centers at once: each center's
+        // sum still runs over d in order, as a per-center loop would, and
+        // the K independent sums vectorize.
+        let mut d2 = [0.0f64; K];
+        for (pd, row) in p.iter().zip(centers) {
+            for (acc, cd) in d2.iter_mut().zip(row) {
+                let diff = pd - cd;
+                *acc += diff * diff;
+            }
+        }
         let mut best = 0usize;
         let mut best_d2 = f64::INFINITY;
-        for (c, center) in centers.iter().enumerate() {
-            let mut d2 = 0.0f64;
-            for d in 0..D {
-                let diff = p.coords[d] as f64 - center[d] as f64;
-                d2 += diff * diff;
-            }
-            if d2 < best_d2 {
-                best_d2 = d2;
+        for (c, &dist) in d2.iter().enumerate() {
+            if dist < best_d2 {
+                best_d2 = dist;
                 best = c;
             }
         }
-        counts[best] += 1;
+        self.counts[best] += 1;
         for d in 0..D {
-            sums[best][d] += p.coords[d] as f64;
+            self.sums[best][d] += p[d];
         }
     }
-    (0..K)
-        .map(|c| Partial {
+
+    /// One [`Partial`] per center, in center order.
+    fn partials(&self) -> impl Iterator<Item = Partial> + '_ {
+        (0..K).map(|c| Partial {
             center: c as u32,
-            count: counts[c],
-            sums: std::array::from_fn(|d| sums[c][d] as f32),
+            count: self.counts[c],
+            sums: self.sums[c].map(|s| s as f32),
         })
-        .collect()
+    }
+}
+
+/// Widened centers indexed `[d][c]`, from `center(c, d)`: the layout
+/// [`Accum::add`] scans, one dimension of every center at a time.
+fn by_dimension(center: impl Fn(usize, usize) -> f32) -> [[f64; K]; D] {
+    std::array::from_fn(|d| std::array::from_fn(|c| center(c, d) as f64))
+}
+
+/// CPU-side assignment over one partition (the baseline's mapPartition).
+fn cpu_assign(points: &[Point], centers: &[[f32; D]; K]) -> Vec<Partial> {
+    let centers = by_dimension(|c, d| centers[c][d]);
+    let mut acc = Accum::default();
+    for p in points {
+        acc.add(&p.coords.map(f64::from), &centers);
+    }
+    acc.partials().collect()
 }
 
 /// Fold partials (from any granularity) into fresh centers.
 fn update_centers(partials: &[Partial], centers: &mut [[f32; D]; K]) {
-    let mut sums = vec![[0.0f64; D]; K];
+    let mut sums = [[0.0f64; D]; K];
     let mut counts = [0u64; K];
     for p in partials {
         let c = p.center as usize;

@@ -15,7 +15,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Feature dimensionality.
 pub const D: usize = 12;
@@ -48,15 +48,13 @@ impl GRecord for Sample {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.x.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
-        view.set_f64(idx, 1, 0, self.y as f64);
+        view.set_row(idx, 0, &self.x);
+        view.set_scalar(idx, 1, self.y);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Sample {
-            x: std::array::from_fn(|d| reader.get_f64(idx, 0, d) as f32),
-            y: reader.get_f64(idx, 1, 0) as f32,
+            x: reader.row(idx, 0),
+            y: reader.scalar(idx, 1),
         }
     }
 }
@@ -85,17 +83,15 @@ impl GRecord for GradPartial {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.grad.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
-        view.set_f64(idx, 1, 0, self.bias as f64);
-        view.set_u64(idx, 2, 0, self.count as u64);
+        view.set_row(idx, 0, &self.grad);
+        view.set_scalar(idx, 1, self.bias);
+        view.set_scalar(idx, 2, self.count);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         GradPartial {
-            grad: std::array::from_fn(|d| reader.get_f64(idx, 0, d) as f32),
-            bias: reader.get_f64(idx, 1, 0) as f32,
-            count: reader.get_u64(idx, 2, 0) as u32,
+            grad: reader.row(idx, 0),
+            bias: reader.scalar(idx, 1),
+            count: reader.scalar(idx, 2),
         }
     }
 }
@@ -139,56 +135,63 @@ fn flops_per_sample() -> f64 {
 }
 
 fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = Sample::def();
+    static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [Sample::def(), GradPartial::def()]);
+    let [def, out_def] = &*DEFS;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-    let weights = args.inputs[1]; // D weights + bias, f32
-    let mut grad = [0.0f64; D];
-    let mut bias = 0.0f64;
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let wbuf = args.inputs[1]; // D weights + bias, f32
+    let w: [f64; D] = std::array::from_fn(|d| wbuf.read_f32(d * 4) as f64);
+    let b = wbuf.read_f32(D * 4) as f64;
+    let mut acc = GradAccum::default();
     for i in 0..n {
-        let mut pred = weights.read_f32(D * 4) as f64; // bias term
-        for d in 0..D {
-            pred += weights.read_f32(d * 4) as f64 * reader.get_f64(i, 0, d);
-        }
-        let resid = pred - reader.get_f64(i, 1, 0);
-        for d in 0..D {
-            grad[d] += resid * reader.get_f64(i, 0, d);
-        }
-        bias += resid;
+        let x = reader.row::<f32, D>(i, 0).map(f64::from);
+        acc.add(&x, f64::from(reader.scalar::<f32>(i, 1)), &w, b);
     }
-    let out_def = GradPartial::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, 1);
-    GradPartial {
-        grad: std::array::from_fn(|d| grad[d] as f32),
-        bias: bias as f32,
-        count: n as u32,
-    }
-    .store(&mut view, 0);
+    let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, 1);
+    acc.partial(n).store(&mut view, 0);
     KernelProfile::new(
         args.n_logical as f64 * flops_per_sample(),
         args.n_logical as f64 * SAMPLE_BYTES,
     )
 }
 
-fn cpu_gradient(samples: &[Sample], w: &[f64; D], b: f64) -> GradPartial {
-    let mut grad = [0.0f64; D];
-    let mut bias = 0.0f64;
-    for s in samples {
+/// Running squared-loss gradient sums: the body both engines share.
+#[derive(Default)]
+struct GradAccum {
+    grad: [f64; D],
+    bias: f64,
+}
+
+impl GradAccum {
+    /// Fold in one (widened) sample under weights `w` and bias `b`.
+    #[inline]
+    fn add(&mut self, x: &[f64; D], y: f64, w: &[f64; D], b: f64) {
         let mut pred = b;
         for d in 0..D {
-            pred += w[d] * s.x[d] as f64;
+            pred += w[d] * x[d];
         }
-        let resid = pred - s.y as f64;
+        let resid = pred - y;
         for d in 0..D {
-            grad[d] += resid * s.x[d] as f64;
+            self.grad[d] += resid * x[d];
         }
-        bias += resid;
+        self.bias += resid;
     }
-    GradPartial {
-        grad: std::array::from_fn(|d| grad[d] as f32),
-        bias: bias as f32,
-        count: samples.len() as u32,
+
+    fn partial(&self, count: usize) -> GradPartial {
+        GradPartial {
+            grad: self.grad.map(|g| g as f32),
+            bias: self.bias as f32,
+            count: count as u32,
+        }
     }
+}
+
+fn cpu_gradient(samples: &[Sample], w: &[f64; D], b: f64) -> GradPartial {
+    let mut acc = GradAccum::default();
+    for s in samples {
+        acc.add(&s.x.map(f64::from), f64::from(s.y), w, b);
+    }
+    acc.partial(samples.len())
 }
 
 fn apply_step(partials: &[GradPartial], w: &mut [f64; D], b: &mut f64) {

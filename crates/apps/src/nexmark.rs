@@ -32,6 +32,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Persons per 50-event group.
 pub const PERSON_PROPORTION: u64 = 1;
@@ -219,17 +220,17 @@ impl GRecord for Auction {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.id as f64);
-        view.set_f64(idx, 1, 0, self.seller as f64);
-        view.set_f64(idx, 2, 0, self.category as f64);
-        view.set_f64(idx, 3, 0, self.initial_bid);
+        view.set_scalar(idx, 0, self.id as f64);
+        view.set_scalar(idx, 1, self.seller as f64);
+        view.set_scalar(idx, 2, self.category as f64);
+        view.set_scalar(idx, 3, self.initial_bid);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Auction {
-            id: reader.get_f64(idx, 0, 0) as u64,
-            seller: reader.get_f64(idx, 1, 0) as u64,
-            category: reader.get_f64(idx, 2, 0) as u64,
-            initial_bid: reader.get_f64(idx, 3, 0),
+            id: reader.scalar::<f64>(idx, 0) as u64,
+            seller: reader.scalar::<f64>(idx, 1) as u64,
+            category: reader.scalar::<f64>(idx, 2) as u64,
+            initial_bid: reader.scalar(idx, 3),
         }
     }
 }
@@ -248,17 +249,17 @@ impl GRecord for Bid {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.auction as f64);
-        view.set_f64(idx, 1, 0, self.bidder as f64);
-        view.set_f64(idx, 2, 0, self.price);
-        view.set_f64(idx, 3, 0, self.ts.as_nanos() as f64);
+        view.set_scalar(idx, 0, self.auction as f64);
+        view.set_scalar(idx, 1, self.bidder as f64);
+        view.set_scalar(idx, 2, self.price);
+        view.set_scalar(idx, 3, self.ts.as_nanos() as f64);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Bid {
-            auction: reader.get_f64(idx, 0, 0) as u64,
-            bidder: reader.get_f64(idx, 1, 0) as u64,
-            price: reader.get_f64(idx, 2, 0),
-            ts: SimTime::from_nanos(reader.get_f64(idx, 3, 0) as u64),
+            auction: reader.scalar::<f64>(idx, 0) as u64,
+            bidder: reader.scalar::<f64>(idx, 1) as u64,
+            price: reader.scalar(idx, 2),
+            ts: SimTime::from_nanos(reader.scalar::<f64>(idx, 3) as u64),
         }
     }
 }
@@ -284,15 +285,15 @@ impl GRecord for Q3Row {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.id as f64);
-        view.set_f64(idx, 1, 0, self.seller as f64);
-        view.set_f64(idx, 2, 0, self.initial_bid);
+        view.set_scalar(idx, 0, self.id as f64);
+        view.set_scalar(idx, 1, self.seller as f64);
+        view.set_scalar(idx, 2, self.initial_bid);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Q3Row {
-            id: reader.get_f64(idx, 0, 0) as u64,
-            seller: reader.get_f64(idx, 1, 0) as u64,
-            initial_bid: reader.get_f64(idx, 2, 0),
+            id: reader.scalar::<f64>(idx, 0) as u64,
+            seller: reader.scalar::<f64>(idx, 1) as u64,
+            initial_bid: reader.scalar(idx, 2),
         }
     }
 }
@@ -316,13 +317,13 @@ impl GRecord for Q13Row {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.auction as f64);
-        view.set_f64(idx, 1, 0, self.boosted);
+        view.set_scalar(idx, 0, self.auction as f64);
+        view.set_scalar(idx, 1, self.boosted);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Q13Row {
-            auction: reader.get_f64(idx, 0, 0) as u64,
-            boosted: reader.get_f64(idx, 1, 0),
+            auction: reader.scalar::<f64>(idx, 0) as u64,
+            boosted: reader.scalar(idx, 1),
         }
     }
 }
@@ -332,20 +333,21 @@ const Q13_KERNEL: &str = "nexQ13Enrich";
 
 /// Register the Nexmark kernels (call before `StreamEnv::gpu` runs q3/q13).
 pub fn register_kernels(fabric: &GpuFabric) {
+    static Q3_DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [Auction::def(), Q3Row::def()]);
+    static Q13_DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [Bid::def(), Q13Row::def()]);
     fabric.register_kernel(Q3_KERNEL, |args: &mut KernelArgs<'_, '_>| {
         let target = args.params.first().copied().unwrap_or(0.0);
-        let def = Auction::def();
-        let out_def = Q3Row::def();
+        let [def, out_def] = &*Q3_DEFS;
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, out_def, DataLayout::Aos, n);
         let mut emitted = 0usize;
         for i in 0..n {
-            if input.get_f64(i, 2, 0) == target {
-                out.set_f64(emitted, 0, 0, input.get_f64(i, 0, 0));
-                out.set_f64(emitted, 1, 0, input.get_f64(i, 1, 0));
-                out.set_f64(emitted, 2, 0, input.get_f64(i, 3, 0));
+            if input.scalar::<f64>(i, 2) == target {
+                out.set_scalar(emitted, 0, input.scalar::<f64>(i, 0));
+                out.set_scalar(emitted, 1, input.scalar::<f64>(i, 1));
+                out.set_scalar(emitted, 2, input.scalar::<f64>(i, 3));
                 emitted += 1;
             }
         }
@@ -353,19 +355,18 @@ pub fn register_kernels(fabric: &GpuFabric) {
             .with_emitted(emitted)
     });
     fabric.register_kernel(Q13_KERNEL, |args: &mut KernelArgs<'_, '_>| {
-        let def = Bid::def();
-        let out_def = Q13Row::def();
+        let [def, out_def] = &*Q13_DEFS;
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let side = args.inputs[1];
         let side_rows = (side.len() / 8).max(1);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, out_def, DataLayout::Aos, n);
         for i in 0..n {
-            let auction = input.get_f64(i, 0, 0);
+            let auction = input.scalar::<f64>(i, 0);
             let factor = side.read_f64((auction as usize % side_rows) * 8);
-            out.set_f64(i, 0, 0, auction);
-            out.set_f64(i, 1, 0, input.get_f64(i, 2, 0) * factor);
+            out.set_scalar(i, 0, auction);
+            out.set_scalar(i, 1, input.scalar::<f64>(i, 2) * factor);
         }
         // One side-table gather per bid: irregular access, like SpMV's x.
         KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)

@@ -22,6 +22,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Out-degree of every page in the synthetic web graph.
 pub const DEG: usize = 8;
@@ -56,15 +57,13 @@ impl GRecord for RankedPage {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.rank as f64);
-        for (i, l) in self.links.iter().enumerate() {
-            view.set_u64(idx, 1, i, *l as u64);
-        }
+        view.set_scalar(idx, 0, self.rank);
+        view.set_row(idx, 1, &self.links);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         RankedPage {
-            rank: reader.get_f64(idx, 0, 0) as f32,
-            links: std::array::from_fn(|i| reader.get_u64(idx, 1, i) as u32),
+            rank: reader.scalar(idx, 0),
+            links: reader.row(idx, 1),
         }
     }
 }
@@ -93,13 +92,13 @@ impl GRecord for AggContrib {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.dst as u64);
-        view.set_f64(idx, 1, 0, self.val as f64);
+        view.set_scalar(idx, 0, self.dst);
+        view.set_scalar(idx, 1, self.val);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         AggContrib {
-            dst: reader.get_u64(idx, 0, 0) as u32,
-            val: reader.get_f64(idx, 1, 0) as f32,
+            dst: reader.scalar(idx, 0),
+            val: reader.scalar(idx, 1),
         }
     }
 }
@@ -137,21 +136,20 @@ pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaSumByKey", sum_by_key_kernel);
     fabric.register_kernel("cudaPagerankScatter", |args: &mut KernelArgs<'_, '_>| {
         use std::collections::BTreeMap;
-        let def = RankedPage::def();
-        let out_def = AggContrib::def();
+        let [def, out_def] = &*DEFS;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         // Scatter + block-level combine (sort/segmented-reduce on a real
         // device; a BTreeMap here).
         let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
         for i in 0..n {
-            let share = reader.get_f64(i, 0, 0) / DEG as f64;
-            for k in 0..DEG {
-                *agg.entry(reader.get_u64(i, 1, k) as u32).or_insert(0.0) += share;
+            let share = f64::from(reader.scalar::<f32>(i, 0)) / DEG as f64;
+            for dst in reader.row::<u32, DEG>(i, 1) {
+                *agg.entry(dst).or_insert(0.0) += share;
             }
         }
         let capacity = n * DEG;
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, capacity);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
         let emitted = agg.len();
         for (i, (dst, val)) in agg.into_iter().enumerate() {
             AggContrib {
@@ -163,26 +161,29 @@ pub fn register_kernels(fabric: &GpuFabric) {
         // Scatter (DEG adds) + sort-combine (~DEG·log window) per page.
         KernelProfile::new(
             args.n_logical as f64 * (6 * DEG) as f64,
-            args.n_logical as f64
-                * (RankedPage::def().size() + 2 * DEG * AggContrib::def().size()) as f64,
+            args.n_logical as f64 * (def.size() + 2 * DEG * out_def.size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
     });
 }
 
+/// The kernels' record schemas, built once per process.
+static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [RankedPage::def(), AggContrib::def()]);
+
 /// Register-time extra: the GPU reducer kernel (the paper's gpuReduce),
 /// summing shuffled contribution pairs by key within each block.
 fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     use std::collections::BTreeMap;
-    let def = AggContrib::def();
+    let def = &DEFS[1];
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
     for i in 0..n {
-        *agg.entry(reader.get_u64(i, 0, 0) as u32).or_insert(0.0) += reader.get_f64(i, 1, 0);
+        *agg.entry(reader.scalar::<u32>(i, 0)).or_insert(0.0) +=
+            f64::from(reader.scalar::<f32>(i, 1));
     }
-    let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
     for (i, (dst, val)) in agg.into_iter().enumerate() {
         AggContrib {
@@ -193,7 +194,7 @@ fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     }
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AggContrib::def().size()) as f64,
+        args.n_logical as f64 * (2 * def.size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)

@@ -13,6 +13,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Default generator seed.
 pub const POINTADD_SEED: u64 = 0x50_4F49_4E54;
@@ -42,13 +43,13 @@ impl GRecord for Point2 {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.x as f64);
-        view.set_f64(idx, 1, 0, self.y as f64);
+        view.set_scalar(idx, 0, self.x);
+        view.set_scalar(idx, 1, self.y);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         Point2 {
-            x: reader.get_f64(idx, 0, 0) as f32,
-            y: reader.get_f64(idx, 1, 0) as f32,
+            x: reader.scalar(idx, 0),
+            y: reader.scalar(idx, 1),
         }
     }
 }
@@ -83,15 +84,18 @@ impl Params {
 
 /// Register the `cudaAddPoint` kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
+    static DEF: LazyLock<GStructDef> = LazyLock::new(Point2::def);
     fabric.register_elementwise_kernel("cudaAddPoint", |args: &mut KernelArgs<'_, '_>| {
-        let def = Point2::def();
+        let def = &*DEF;
         let n = args.n_actual;
         let (dx, dy) = (args.params[0], args.params[1]);
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         for i in 0..n {
-            view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) + dx);
-            view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) + dy);
+            let x = f64::from(reader.scalar::<f32>(i, 0));
+            let y = f64::from(reader.scalar::<f32>(i, 1));
+            view.set_scalar(i, 0, (x + dx) as f32);
+            view.set_scalar(i, 1, (y + dy) as f32);
         }
         KernelProfile::new(
             args.n_logical as f64 * 2.0,

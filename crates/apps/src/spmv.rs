@@ -23,7 +23,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Nonzeros per row (ELLPACK width).
 pub const NNZ: usize = 8;
@@ -56,17 +56,13 @@ impl GRecord for EllRow {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (i, c) in self.cols.iter().enumerate() {
-            view.set_u64(idx, 0, i, *c as u64);
-        }
-        for (i, v) in self.vals.iter().enumerate() {
-            view.set_f64(idx, 1, i, *v as f64);
-        }
+        view.set_row(idx, 0, &self.cols);
+        view.set_row(idx, 1, &self.vals);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         EllRow {
-            cols: std::array::from_fn(|i| reader.get_u64(idx, 0, i) as u32),
-            vals: std::array::from_fn(|i| reader.get_f64(idx, 1, i) as f32),
+            cols: reader.row(idx, 0),
+            vals: reader.row(idx, 1),
         }
     }
 }
@@ -87,11 +83,11 @@ impl GRecord for YVal {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.y as f64);
+        view.set_scalar(idx, 0, self.y);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         YVal {
-            y: reader.get_f64(idx, 0, 0) as f32,
+            y: reader.scalar(idx, 0),
         }
     }
 }
@@ -149,21 +145,21 @@ pub fn register_kernels(fabric: &GpuFabric) {
 }
 
 fn spmv_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = EllRow::def();
+    static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [EllRow::def(), YVal::def()]);
+    let [def, out_def] = &*DEFS;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let x = args.inputs[1];
-    let x_len = x.len() / 4;
-    let out_def = YVal::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, n);
+    let x_len = (x.len() / 4).max(1);
+    let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
     for i in 0..n {
+        let cols = reader.row::<u32, NNZ>(i, 0);
+        let vals = reader.row::<f32, NNZ>(i, 1);
         let mut acc = 0.0f64;
         for k in 0..NNZ {
-            let col = reader.get_u64(i, 0, k) as usize;
-            let v = reader.get_f64(i, 1, k);
-            acc += v * x.read_f32((col % x_len.max(1)) * 4) as f64;
+            acc += vals[k] as f64 * x.read_f32((cols[k] as usize % x_len) * 4) as f64;
         }
-        view.set_f64(i, 0, 0, acc);
+        view.set_scalar(i, 0, acc as f32);
     }
     // 2 flops per nonzero; traffic: row bytes + gathered x values + y.
     KernelProfile::new(

@@ -20,6 +20,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Vocabulary size (distinct words).
 pub const VOCAB: u32 = 1_000;
@@ -44,11 +45,11 @@ impl GRecord for WordId {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.id as u64);
+        view.set_scalar(idx, 0, self.id);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         WordId {
-            id: reader.get_u64(idx, 0, 0) as u32,
+            id: reader.scalar(idx, 0),
         }
     }
 }
@@ -74,13 +75,13 @@ impl GRecord for CountRec {
         )
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.id as u64);
-        view.set_u64(idx, 1, 0, self.count as u64);
+        view.set_scalar(idx, 0, self.id);
+        view.set_scalar(idx, 1, self.count);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
         CountRec {
-            id: reader.get_u64(idx, 0, 0) as u32,
-            count: reader.get_u64(idx, 1, 0) as u32,
+            id: reader.scalar(idx, 0),
+            count: reader.scalar(idx, 1),
         }
     }
 }
@@ -117,17 +118,16 @@ impl Params {
 
 /// Register the histogram kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
+    static DEFS: LazyLock<[GStructDef; 2]> = LazyLock::new(|| [WordId::def(), CountRec::def()]);
     fabric.register_kernel("cudaWordHistogram", |args: &mut KernelArgs<'_, '_>| {
-        let def = WordId::def();
+        let [def, out_def] = &*DEFS;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut counts = vec![0u64; VOCAB as usize];
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut counts = [0u64; VOCAB as usize];
         for i in 0..n {
-            let id = reader.get_u64(i, 0, 0) as usize;
-            counts[id % VOCAB as usize] += 1;
+            counts[reader.scalar::<u32>(i, 0) as usize % VOCAB as usize] += 1;
         }
-        let out_def = CountRec::def();
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, VOCAB as usize);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, VOCAB as usize);
         for (id, c) in counts.iter().enumerate() {
             CountRec {
                 id: id as u32,

@@ -41,14 +41,15 @@ use gflink_memory::{
 use gflink_sim::{LogHistogram, SimTime, Summary};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// The built-in GPU windowed-aggregation kernel, registered by
 /// [`StreamEnv::gpu`]. Input: key/value pairs grouped by key; output: one
 /// `(key, count, sum, min, max)` row per distinct key.
 pub(crate) const WINDOW_KERNEL: &str = "gfWindowedAgg";
 
-fn pair_def() -> GStructDef {
+/// The window kernel's input record: one `(key, value)` pair.
+static PAIR_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
     GStructDef::new(
         "GfPair",
         AlignClass::Align8,
@@ -57,9 +58,10 @@ fn pair_def() -> GStructDef {
             FieldDef::scalar("value", PrimType::F64),
         ],
     )
-}
+});
 
-fn keyagg_def() -> GStructDef {
+/// The window kernel's output record: one key's aggregate.
+static KEYAGG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
     GStructDef::new(
         "GfKeyAgg",
         AlignClass::Align8,
@@ -71,36 +73,33 @@ fn keyagg_def() -> GStructDef {
             FieldDef::scalar("max", PrimType::F64),
         ],
     )
-}
+});
 
 /// The windowed-aggregation kernel body: folds consecutive same-key runs
-/// with [`AggResult::fold`] — the exact fold the CPU engine uses, so the
+/// with [`AggResult::push`] — the exact fold the CPU engine uses, so the
 /// two engines are bit-identical. `params[0]`/`params[1]` carry the
 /// aggregation's flops/bytes per logical record.
 fn window_agg_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let pair = pair_def();
-    let out_def = keyagg_def();
+    let (pair, out_def) = (&*PAIR_DEF, &*KEYAGG_DEF);
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &pair, DataLayout::Aos, n);
+    let input = RecordReader::new(args.inputs[0], pair, DataLayout::Aos, n);
     let capacity = args.outputs[0].len() / out_def.size().max(1);
     let out_buf = &mut args.outputs[0];
-    let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, capacity);
+    let mut out = RecordView::new(out_buf, out_def, DataLayout::Aos, capacity);
     let mut emitted = 0usize;
     let mut i = 0usize;
-    let mut values = Vec::new();
     while i < n {
-        let key = input.get_f64(i, 0, 0);
-        values.clear();
-        while i < n && input.get_f64(i, 0, 0) == key {
-            values.push(input.get_f64(i, 1, 0));
+        let key = input.scalar::<f64>(i, 0);
+        let mut r = AggResult::EMPTY;
+        while i < n && input.scalar::<f64>(i, 0) == key {
+            r.push(input.scalar(i, 1));
             i += 1;
         }
-        let r = AggResult::fold(&values);
-        out.set_f64(emitted, 0, 0, key);
-        out.set_f64(emitted, 1, 0, r.count as f64);
-        out.set_f64(emitted, 2, 0, r.sum);
-        out.set_f64(emitted, 3, 0, r.min);
-        out.set_f64(emitted, 4, 0, r.max);
+        out.set_scalar(emitted, 0, key);
+        out.set_scalar(emitted, 1, r.count as f64);
+        out.set_scalar(emitted, 2, r.sum);
+        out.set_scalar(emitted, 3, r.min);
+        out.set_scalar(emitted, 4, r.max);
         emitted += 1;
     }
     let flops = args.params.first().copied().unwrap_or(200.0);
@@ -546,17 +545,16 @@ impl<'a, T> WindowPipeline<'a, T> {
     /// Build the `GWork` for one fired window: panes packed key-ascending,
     /// values in insertion order — the order the kernel folds in.
     fn window_work(fw: &FiredWindow, spec: &GpuMapSpec, workers: usize) -> GWork {
-        let pair = pair_def();
-        let out_def = keyagg_def();
+        let (pair, out_def) = (&*PAIR_DEF, &*KEYAGG_DEF);
         let rows = fw.rows();
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&pair, DataLayout::Aos, rows));
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
-            let mut view = RecordView::new(&mut buf, &pair, DataLayout::Aos, rows);
+            let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
             let mut i = 0;
             for pane in &fw.panes {
                 for &v in &pane.values {
-                    view.set_f64(i, 0, 0, pane.key as f64);
-                    view.set_f64(i, 1, 0, v);
+                    view.set_scalar(i, 0, pane.key as f64);
+                    view.set_scalar(i, 1, v);
                     i += 1;
                 }
             }
@@ -576,7 +574,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 Arc::new(buf),
                 logical * pair.size() as u64,
             )],
-            out_actual_bytes: RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows),
+            out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
             out_logical_bytes: (out_rows * out_def.size()) as u64,
             out_records: out_rows,
             params: Arc::clone(&spec.params),
@@ -654,14 +652,14 @@ impl<'a, T> WindowPipeline<'a, T> {
             rows: Vec<(u64, AggResult)>,
             payload: Vec<u8>,
         }
-        let out_def = keyagg_def();
+        let out_def = &*KEYAGG_DEF;
         let mut executed: Vec<Exec> = Vec::new();
         let mut wall_end = SimTime::ZERO;
         for w in 0..workers {
             for done in job.drain_worker(w) {
                 let capacity = done.output.len() / out_def.size().max(1);
                 let emitted = done.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&done.output, &out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
                 wall_end = wall_end.max(done.timing.completed);
                 executed.push(Exec {
                     worker: done.tag.0,
@@ -721,7 +719,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 let buf = HBuffer::from_bytes(&blk.payload);
                 let capacity = blk.payload.len() / out_def.size().max(1);
                 let emitted = blk.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&buf, &out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&buf, out_def, DataLayout::Aos, capacity);
                 for (key, agg) in read_keyagg(&reader, emitted) {
                     outputs.push(WindowOutput {
                         span: fw.span,
@@ -826,12 +824,12 @@ fn read_keyagg(reader: &RecordReader<'_>, emitted: usize) -> Vec<(u64, AggResult
     (0..emitted)
         .map(|i| {
             (
-                reader.get_f64(i, 0, 0) as u64,
+                reader.scalar::<f64>(i, 0) as u64,
                 AggResult {
-                    count: reader.get_f64(i, 1, 0) as u64,
-                    sum: reader.get_f64(i, 2, 0),
-                    min: reader.get_f64(i, 3, 0),
-                    max: reader.get_f64(i, 4, 0),
+                    count: reader.scalar::<f64>(i, 1) as u64,
+                    sum: reader.scalar(i, 2),
+                    min: reader.scalar(i, 3),
+                    max: reader.scalar(i, 4),
                 },
             )
         })

@@ -164,11 +164,15 @@ impl StreamReport {
         }
     }
 
-    /// Whether the operator kept up: the last unit's latency is within
-    /// `factor` of the mean (no queue growth). A run whose mean latency is
-    /// zero (nothing completed, or all-zero latencies) is sustained iff
-    /// the last latency is also zero — no division by zero.
+    /// Whether the operator kept up: no unit was lost, and the last unit's
+    /// latency is within `factor` of the mean (no queue growth). A loss-free
+    /// run whose mean latency is zero (nothing completed, or all-zero
+    /// latencies) is sustained iff the last latency is also zero — no
+    /// division by zero.
     pub fn sustained(&self, factor: f64) -> bool {
+        if !self.lost.is_empty() {
+            return false;
+        }
         let mean = self.latency.mean();
         if mean <= 0.0 {
             return self.last_latency.is_zero();
@@ -383,5 +387,33 @@ mod tests {
         assert!(r.sustained(1.5));
         r.last_latency = SimTime::from_millis(5);
         assert!(!r.sustained(1.5), "nonzero last over zero mean diverges");
+    }
+
+    #[test]
+    fn a_run_that_loses_units_is_not_sustained() {
+        // Every unit lost: mean and last latency are both zero, which alone
+        // would read as sustained.
+        let mut r = StreamReport::empty();
+        r.lost = (0..40)
+            .map(|index| LostBatch {
+                index,
+                worker: 0,
+                reason: FailReason::RetriesExhausted,
+            })
+            .collect();
+        assert!(!r.sustained(1.5), "40 of 40 units lost");
+        // One lost unit among steady, on-time ones is still a failure.
+        let mut r = StreamReport::empty();
+        for _ in 0..10 {
+            r.latency.add(0.010);
+        }
+        r.last_latency = SimTime::from_millis(10);
+        assert!(r.sustained(1.5));
+        r.lost.push(LostBatch {
+            index: 3,
+            worker: 1,
+            reason: FailReason::NoUsableDevice,
+        });
+        assert!(!r.sustained(1.5), "a lost unit among on-time ones");
     }
 }

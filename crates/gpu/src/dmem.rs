@@ -130,11 +130,25 @@ pub struct DeviceMemory {
     spare_bytes: usize,
     total_allocs: u64,
     total_frees: u64,
-    /// Reusable pointer scratch for [`DeviceMemory::with_buffers`] (stored
-    /// as `usize` so the type stays `Send`).
-    scratch_in: Vec<usize>,
-    scratch_out: Vec<usize>,
+    /// Reusable pointer scratch for [`DeviceMemory::with_buffers`].
+    scratch: LaunchScratch,
 }
+
+/// The argument-pointer lists [`DeviceMemory::with_buffers`] builds for a
+/// kernel launch, kept across launches so a launch allocates nothing.
+/// Both lists are empty except while `with_buffers` runs.
+#[derive(Default)]
+struct LaunchScratch {
+    ins: Vec<*const HBuffer>,
+    outs: Vec<*mut HBuffer>,
+}
+
+// SAFETY: the lists hold pointers only for the duration of one
+// `with_buffers` call, which borrows the owning `DeviceMemory` mutably;
+// between calls they are empty. No pointer ever crosses a thread, so
+// the scratch is as thread-safe as the `Vec`s' (pointer-free) storage.
+unsafe impl Send for LaunchScratch {}
+unsafe impl Sync for LaunchScratch {}
 
 impl DeviceMemory {
     /// A device with `capacity` logical bytes of DRAM.
@@ -150,8 +164,7 @@ impl DeviceMemory {
             spare_bytes: 0,
             total_allocs: 0,
             total_frees: 0,
-            scratch_in: Vec::new(),
-            scratch_out: Vec::new(),
+            scratch: LaunchScratch::default(),
         }
     }
 
@@ -321,11 +334,20 @@ impl DeviceMemory {
         if !self.is_live(a) || !self.is_live(b) {
             return Err(DmemError::BadHandle);
         }
-        // SAFETY: handles verified live and distinct (different slots, so
-        // different slab entries); the reborrows are disjoint.
-        let pa = self.slot_mut(a).unwrap() as *mut Allocation;
-        let pb = self.slot_mut(b).unwrap() as *mut Allocation;
-        unsafe { Ok((&mut (*pa).data, &mut (*pb).data)) }
+        let base = self.slots.as_mut_ptr();
+        // SAFETY: both handles are live, so both slots are in bounds and
+        // hold an allocation; live handles carry their slot's current
+        // generation, so distinct live handles name distinct slots. Both
+        // pointers derive from the one `base` (`Vec::as_mut_ptr` creates no
+        // intermediate reference to the slab), with no use of `self.slots`
+        // in between, so creating one `&mut` cannot invalidate the other:
+        // each covers only its own slab entry.
+        unsafe {
+            Ok((
+                &mut *slot_data_mut(base.add(a.slot())),
+                &mut *slot_data_mut(base.add(b.slot())),
+            ))
+        }
     }
 
     /// Borrow several allocations at once: `inputs` immutably and `outputs`
@@ -351,20 +373,28 @@ impl DeviceMemory {
                 return Err(DmemError::BadHandle);
             }
         }
-        let mut ins = std::mem::take(&mut self.scratch_in);
-        let mut outs = std::mem::take(&mut self.scratch_out);
-        for id in inputs {
-            ins.push(&self.slot(*id).unwrap().data as *const HBuffer as usize);
-        }
-        for id in outputs {
-            outs.push(&mut self.slot_mut(*id).unwrap().data as *mut HBuffer as usize);
-        }
-        // SAFETY: all handles were verified live; outputs are pairwise
-        // distinct and disjoint from inputs, so the mutable reborrows are
-        // unique and do not alias the shared ones. The slab is not mutated
-        // while the pointers are live, and `&HBuffer`/`&mut HBuffer` are
-        // thin pointers with `usize` layout.
+        let LaunchScratch { mut ins, mut outs } = std::mem::take(&mut self.scratch);
+        let base = self.slots.as_mut_ptr();
+        // SAFETY: every handle was verified live above, so every slot index
+        // is in bounds and the slot holds an allocation. Outputs are
+        // pairwise distinct and disjoint from the inputs, and distinct live
+        // handles name distinct slots, so each `&mut HBuffer` covers a slab
+        // entry no other argument touches; inputs may repeat, which only
+        // creates several shared references. All pointers derive from the
+        // one `base` taken after the last use of `self.slots`
+        // (`Vec::as_mut_ptr` creates no intermediate reference), and the slab
+        // is neither read nor written through `self` until `f` returns, so
+        // no later borrow invalidates an earlier pointer. The scratch lists
+        // store the pointers themselves, and `*const HBuffer`/`&HBuffer`
+        // (and `*mut`/`&mut`) share one layout, so the slices below
+        // reinterpret them without losing provenance.
         let r = unsafe {
+            for id in inputs {
+                ins.push(slot_data(base.add(id.slot())));
+            }
+            for id in outputs {
+                outs.push(slot_data_mut(base.add(id.slot())));
+            }
             let ins_s = std::slice::from_raw_parts(ins.as_ptr().cast::<&HBuffer>(), ins.len());
             let outs_s = std::slice::from_raw_parts_mut(
                 outs.as_mut_ptr().cast::<&mut HBuffer>(),
@@ -374,8 +404,7 @@ impl DeviceMemory {
         };
         ins.clear();
         outs.clear();
-        self.scratch_in = ins;
-        self.scratch_out = outs;
+        self.scratch = LaunchScratch { ins, outs };
         Ok(r)
     }
 
@@ -418,6 +447,24 @@ impl DeviceMemory {
         host.copy_from(0, src, 0, n);
         Ok(())
     }
+}
+
+/// Shared pointer to the backing buffer of the live slot at `slot`.
+///
+/// # Safety
+/// `slot` must point to a slot that holds an allocation and that no
+/// `&mut` reference currently covers.
+unsafe fn slot_data(slot: *const Slot) -> *const HBuffer {
+    &(*slot).alloc.as_ref().expect("live slot").data
+}
+
+/// Unique pointer to the backing buffer of the live slot at `slot`.
+///
+/// # Safety
+/// `slot` must point to a slot that holds an allocation and that no other
+/// reference currently covers.
+unsafe fn slot_data_mut(slot: *mut Slot) -> *mut HBuffer {
+    &mut (*slot).alloc.as_mut().expect("live slot").data
 }
 
 impl fmt::Debug for DeviceMemory {
@@ -532,5 +579,59 @@ mod tests {
         let aliased = m.with_buffers(&[a], &[a], |_, _| ()).unwrap_err();
         assert_eq!(aliased, DmemError::Aliased);
         assert!(m.with_buffers(&[a], &[b], |_, _| ()).is_ok());
+    }
+
+    #[test]
+    fn with_buffers_rejects_aliased_outputs_and_stale_handles() {
+        let mut m = DeviceMemory::new(1024);
+        let a = m.alloc(10, 8).unwrap();
+        let b = m.alloc(10, 8).unwrap();
+        let err = m.with_buffers(&[], &[b, b], |_, _| ()).unwrap_err();
+        assert_eq!(err, DmemError::Aliased, "one output passed twice");
+        let err = m.with_buffers(&[a, b], &[b], |_, _| ()).unwrap_err();
+        assert_eq!(err, DmemError::Aliased, "output doubles as an input");
+        let stale = m.alloc(10, 8).unwrap();
+        m.release(stale).unwrap();
+        let err = m.with_buffers(&[stale], &[b], |_, _| ()).unwrap_err();
+        assert_eq!(err, DmemError::BadHandle, "stale input");
+        let err = m.with_buffers(&[a], &[stale], |_, _| ()).unwrap_err();
+        assert_eq!(err, DmemError::BadHandle, "stale output");
+        assert_eq!(m.data_pair_mut(a, stale).unwrap_err(), DmemError::BadHandle);
+        // The slot `stale` occupied is reused by a new allocation: the old
+        // handle must not reach it.
+        let c = m.alloc(10, 8).unwrap();
+        let err = m.with_buffers(&[a], &[stale], |_, _| ()).unwrap_err();
+        assert_eq!(err, DmemError::BadHandle, "handle to a recycled slot");
+        assert!(m.with_buffers(&[a], &[c], |_, _| ()).is_ok());
+    }
+
+    #[test]
+    fn with_buffers_hands_each_argument_its_own_buffer() {
+        let mut m = DeviceMemory::new(1024);
+        let ids: Vec<DevBufId> = (0..4).map(|_| m.alloc(10, 8).unwrap()).collect();
+        for (k, id) in ids.iter().enumerate() {
+            m.data_mut(*id).unwrap().write_u8(0, 10 + k as u8);
+        }
+        let (a, b, c, d) = (ids[0], ids[1], ids[2], ids[3]);
+        // Repeated launches reuse the pointer scratch; an input may repeat.
+        for round in 0..3u8 {
+            let seen = m
+                .with_buffers(&[a, b, a], &[d, c], |ins, outs| {
+                    let seen: Vec<u8> = ins.iter().map(|h| h.read_u8(0)).collect();
+                    outs[0].write_u8(1, 40 + round);
+                    outs[1].write_u8(1, 50 + round);
+                    seen
+                })
+                .unwrap();
+            assert_eq!(seen, vec![10, 11, 10]);
+            assert_eq!(m.data(d).unwrap().read_u8(1), 40 + round);
+            assert_eq!(m.data(c).unwrap().read_u8(1), 50 + round);
+        }
+        // Inputs were only read.
+        assert_eq!(m.data(a).unwrap().read_u8(1), 0);
+        assert_eq!(m.data(b).unwrap().read_u8(1), 0);
+        // data_pair_mut keeps the order of its arguments.
+        let (pc, pa) = m.data_pair_mut(c, a).unwrap();
+        assert_eq!((pc.read_u8(0), pa.read_u8(0)), (12, 10));
     }
 }

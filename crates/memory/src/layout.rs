@@ -11,9 +11,55 @@
 //! [`RecordView`] interprets an [`HBuffer`] as `n` records of a
 //! [`GStructDef`] under a chosen layout, with field accessors and
 //! layout-conversion routines.
+//!
+//! Two families of accessors exist. The element accessors (`get_f64`,
+//! `set_u64`, …) convert through a wide type and resolve the field's type
+//! on every call; they suit generic code that does not know the schema.
+//! The row accessors ([`RecordReader::row`], [`RecordView::set_row`] and
+//! their scalar forms) move one record's whole field as a typed array:
+//! the element type and length are checked once per row, the offset is
+//! computed once, and the bytes are decoded with one slice bound check.
+//! One record's field is contiguous under AoS, SoA and AoP alike, so one
+//! implementation serves every layout. Kernels and record codecs use the
+//! row accessors (DESIGN.md §4.3).
 
 use crate::gstruct::{GStructDef, PrimType};
 use crate::hbuffer::HBuffer;
+use std::ops::Range;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// A Rust primitive that a field row is read or written as. The type must
+/// match the field's [`PrimType`] exactly: rows neither widen nor narrow.
+pub trait RowElem: Copy + Default + sealed::Sealed {
+    /// The field type this element encodes.
+    const PRIM: PrimType;
+    /// Decode one little-endian element (`bytes.len() == PRIM.size()`).
+    fn from_le(bytes: &[u8]) -> Self;
+    /// Encode one little-endian element into `out` (`PRIM.size()` bytes).
+    fn write_le(self, out: &mut [u8]);
+}
+
+macro_rules! row_elem {
+    ($($t:ty => $prim:ident),* $(,)?) => {$(
+        impl sealed::Sealed for $t {}
+        impl RowElem for $t {
+            const PRIM: PrimType = PrimType::$prim;
+            #[inline]
+            fn from_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("row chunk width"))
+            }
+            #[inline]
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+
+row_elem!(u32 => U32, f32 => F32, f64 => F64);
 
 /// The three data layouts of §2.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,11 +119,7 @@ impl DataLayout {
 /// caller-provided byte buffer.
 pub struct RecordView<'a> {
     buf: &'a mut HBuffer,
-    def: &'a GStructDef,
-    layout: DataLayout,
-    n: usize,
-    /// Per-field base offsets (SoA/AoP); empty for AoS.
-    field_bases: Vec<usize>,
+    shape: Shape<'a>,
 }
 
 impl<'a> RecordView<'a> {
@@ -101,60 +143,44 @@ impl<'a> RecordView<'a> {
 
     /// Create a view over `buf`. Panics if the buffer is too small.
     pub fn new(buf: &'a mut HBuffer, def: &'a GStructDef, layout: DataLayout, n: usize) -> Self {
-        let need = Self::required_bytes(def, layout, n);
-        assert!(
-            buf.len() >= need,
-            "buffer too small: {} < {need} for {n} records of {}",
-            buf.len(),
-            def.name()
-        );
-        let field_bases = field_bases(def, layout, n);
-        RecordView {
-            buf,
-            def,
-            layout,
-            n,
-            field_bases,
-        }
+        let shape = Shape::new(buf, def, layout, n);
+        RecordView { buf, shape }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.n
+        self.shape.n
     }
 
     /// True if the view holds no records.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.shape.n == 0
     }
 
     /// The schema this view interprets.
     pub fn def(&self) -> &GStructDef {
-        self.def
+        self.shape.def
     }
 
     /// The layout this view uses.
     pub fn layout(&self) -> DataLayout {
-        self.layout
+        self.shape.layout
     }
 
     /// Byte offset of `(record, field, elem)` under this view's layout.
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
-        debug_assert!(record < self.n, "record {record} out of {}", self.n);
-        element_offset_of(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            record,
-            field,
-            elem,
-        )
+        debug_assert!(
+            record < self.shape.n,
+            "record {record} out of {}",
+            self.shape.n
+        );
+        self.shape.element_offset(record, field, elem)
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::F32 => self.buf.read_f32(off) as f64,
             PrimType::F64 => self.buf.read_f64(off),
             other => panic!("field {field} is {other:?}, not a float"),
@@ -164,7 +190,7 @@ impl<'a> RecordView<'a> {
     /// Write `(record, field, elem)` as `f64` (narrowing for F32).
     pub fn set_f64(&mut self, record: usize, field: usize, elem: usize, v: f64) {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::F32 => self.buf.write_f32(off, v as f32),
             PrimType::F64 => self.buf.write_f64(off, v),
             other => panic!("field {field} is {other:?}, not a float"),
@@ -174,7 +200,7 @@ impl<'a> RecordView<'a> {
     /// Read `(record, field, elem)` as `u64` (zero-extended).
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::U8 => self.buf.read_u8(off) as u64,
             PrimType::I32 => self.buf.read_i32(off) as u32 as u64,
             PrimType::U32 => self.buf.read_u32(off) as u64,
@@ -187,7 +213,7 @@ impl<'a> RecordView<'a> {
     /// Write `(record, field, elem)` as `u64` (truncating).
     pub fn set_u64(&mut self, record: usize, field: usize, elem: usize, v: u64) {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::U8 => self.buf.write_u8(off, v as u8),
             PrimType::I32 => self.buf.write_i32(off, v as i32),
             PrimType::U32 => self.buf.write_u32(off, v as u32),
@@ -197,19 +223,39 @@ impl<'a> RecordView<'a> {
         }
     }
 
+    /// Write record `record`'s whole field `field` from `vals`.
+    ///
+    /// Panics if the field is not of `T`'s type or does not hold exactly
+    /// `vals.len()` elements.
+    #[inline]
+    pub fn set_row<T: RowElem>(&mut self, record: usize, field: usize, vals: &[T]) {
+        let range = self.shape.row_range(record, field, T::PRIM, vals.len());
+        let bytes = &mut self.buf.as_mut_slice()[range];
+        for (out, v) in bytes.chunks_exact_mut(T::PRIM.size()).zip(vals) {
+            v.write_le(out);
+        }
+    }
+
+    /// Write the scalar field `field` of record `record`.
+    #[inline]
+    pub fn set_scalar<T: RowElem>(&mut self, record: usize, field: usize, v: T) {
+        self.set_row(record, field, &[v]);
+    }
+
     /// Copy all records into `dst`, which may use a different layout.
     ///
     /// This is the manual transformation GFlink's zero-copy scheme avoids on
     /// the hot path; it exists for layout experiments and the conversion
     /// ablation.
     pub fn convert_into(&self, dst: &mut RecordView<'_>) {
+        let def = self.shape.def;
         assert!(
-            std::ptr::eq(self.def, dst.def) || self.def == dst.def,
+            std::ptr::eq(def, dst.shape.def) || def == dst.shape.def,
             "schema mismatch"
         );
-        assert_eq!(self.n, dst.n, "record count mismatch");
-        for r in 0..self.n {
-            for (fi, f) in self.def.fields().iter().enumerate() {
+        assert_eq!(self.shape.n, dst.shape.n, "record count mismatch");
+        for r in 0..self.shape.n {
+            for (fi, f) in def.fields().iter().enumerate() {
                 let sz = f.prim.size();
                 for e in 0..f.array_len {
                     let so = self.element_offset(r, fi, e);
@@ -232,57 +278,35 @@ impl<'a> RecordView<'a> {
 /// them typed, layout-aware access without requiring mutability.
 pub struct RecordReader<'a> {
     buf: &'a HBuffer,
-    def: &'a GStructDef,
-    layout: DataLayout,
-    n: usize,
-    field_bases: Vec<usize>,
+    shape: Shape<'a>,
 }
 
 impl<'a> RecordReader<'a> {
     /// Create a reader over `buf`. Panics if the buffer is too small.
     pub fn new(buf: &'a HBuffer, def: &'a GStructDef, layout: DataLayout, n: usize) -> Self {
-        let need = RecordView::required_bytes(def, layout, n);
-        assert!(
-            buf.len() >= need,
-            "buffer too small: {} < {need} for {n} records of {}",
-            buf.len(),
-            def.name()
-        );
-        RecordReader {
-            buf,
-            def,
-            layout,
-            n,
-            field_bases: field_bases(def, layout, n),
-        }
+        let shape = Shape::new(buf, def, layout, n);
+        RecordReader { buf, shape }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.n
+        self.shape.n
     }
 
     /// True if the reader holds no records.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.shape.n == 0
     }
 
     /// Byte offset of `(record, field, elem)` under this reader's layout.
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
-        element_offset_of(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            record,
-            field,
-            elem,
-        )
+        self.shape.element_offset(record, field, elem)
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::F32 => self.buf.read_f32(off) as f64,
             PrimType::F64 => self.buf.read_f64(off),
             other => panic!("field {field} is {other:?}, not a float"),
@@ -292,7 +316,7 @@ impl<'a> RecordReader<'a> {
     /// Read `(record, field, elem)` as `u64` (zero-extended).
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
+        match self.shape.def.fields()[field].prim {
             PrimType::U8 => self.buf.read_u8(off) as u64,
             PrimType::I32 => self.buf.read_i32(off) as u32 as u64,
             PrimType::U32 => self.buf.read_u32(off) as u64,
@@ -303,39 +327,111 @@ impl<'a> RecordReader<'a> {
     }
 }
 
-/// Per-field base offsets for SoA/AoP (empty for AoS).
-fn field_bases(def: &GStructDef, layout: DataLayout, n: usize) -> Vec<usize> {
-    match layout {
-        DataLayout::Aos => Vec::new(),
-        DataLayout::Soa | DataLayout::Aop => {
-            let mut bases = Vec::with_capacity(def.num_fields());
-            let mut off = 0usize;
-            for f in def.fields() {
-                off = round_up(off, 8);
-                bases.push(off);
-                off += f.byte_size() * n;
-            }
-            bases
+impl RecordReader<'_> {
+    /// Read record `record`'s whole field `field` as `N` elements of `T`.
+    ///
+    /// Panics if the field is not of `T`'s type or does not hold exactly
+    /// `N` elements.
+    #[inline]
+    pub fn row<T: RowElem, const N: usize>(&self, record: usize, field: usize) -> [T; N] {
+        let range = self.shape.row_range(record, field, T::PRIM, N);
+        let bytes = &self.buf.as_slice()[range];
+        let mut out = [T::default(); N];
+        for (o, b) in out.iter_mut().zip(bytes.chunks_exact(T::PRIM.size())) {
+            *o = T::from_le(b);
         }
+        out
+    }
+
+    /// Read the scalar field `field` of record `record`.
+    #[inline]
+    pub fn scalar<T: RowElem>(&self, record: usize, field: usize) -> T {
+        let [v] = self.row::<T, 1>(record, field);
+        v
     }
 }
 
-fn element_offset_of(
-    def: &GStructDef,
+/// Where `n` records of `def` sit under `layout`: what both
+/// [`RecordView`] and [`RecordReader`] resolve offsets with.
+struct Shape<'a> {
+    def: &'a GStructDef,
     layout: DataLayout,
-    bases: &[usize],
-    record: usize,
-    field: usize,
-    elem: usize,
-) -> usize {
-    let f = &def.fields()[field];
-    debug_assert!(elem < f.array_len);
-    match layout {
-        DataLayout::Aos => record * def.size() + def.offset(field) + elem * f.prim.size(),
-        DataLayout::Soa | DataLayout::Aop => {
-            bases[field] + (record * f.array_len + elem) * f.prim.size()
+    n: usize,
+    /// Per-field base offsets (SoA/AoP); empty for AoS.
+    field_bases: Vec<usize>,
+}
+
+impl<'a> Shape<'a> {
+    /// The shape of `n` records in `buf`. Panics if the buffer is too small.
+    fn new(buf: &HBuffer, def: &'a GStructDef, layout: DataLayout, n: usize) -> Self {
+        let need = RecordView::required_bytes(def, layout, n);
+        assert!(
+            buf.len() >= need,
+            "buffer too small: {} < {need} for {n} records of {}",
+            buf.len(),
+            def.name()
+        );
+        let field_bases = match layout {
+            DataLayout::Aos => Vec::new(),
+            DataLayout::Soa | DataLayout::Aop => {
+                let mut bases = Vec::with_capacity(def.num_fields());
+                let mut off = 0usize;
+                for f in def.fields() {
+                    off = round_up(off, 8);
+                    bases.push(off);
+                    off += f.byte_size() * n;
+                }
+                bases
+            }
+        };
+        Shape {
+            def,
+            layout,
+            n,
+            field_bases,
         }
     }
+
+    fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
+        let f = &self.def.fields()[field];
+        debug_assert!(elem < f.array_len);
+        match self.layout {
+            DataLayout::Aos => {
+                record * self.def.size() + self.def.offset(field) + elem * f.prim.size()
+            }
+            DataLayout::Soa | DataLayout::Aop => {
+                self.field_bases[field] + (record * f.array_len + elem) * f.prim.size()
+            }
+        }
+    }
+
+    /// Byte range of record `record`'s whole field `field`, after checking
+    /// that the field holds exactly `len` elements of type `prim`.
+    #[inline]
+    fn row_range(&self, record: usize, field: usize, prim: PrimType, len: usize) -> Range<usize> {
+        let f = &self.def.fields()[field];
+        if f.prim != prim || f.array_len != len {
+            row_mismatch(field, f.prim, prim, f.array_len, len);
+        }
+        debug_assert!(record < self.n, "record {record} out of {}", self.n);
+        let start = self.element_offset(record, field, 0);
+        start..start + len * prim.size()
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn row_mismatch(
+    field: usize,
+    have: PrimType,
+    want: PrimType,
+    have_len: usize,
+    want_len: usize,
+) -> ! {
+    if have != want {
+        panic!("field {field} is {have:?}, not {want:?}");
+    }
+    panic!("field {field} has {have_len} elements, not {want_len}");
 }
 
 #[inline]

@@ -41,7 +41,7 @@ pub mod serialize;
 pub use arena::{ArenaBuf, ArenaStats, BufferArena};
 pub use gstruct::{AlignClass, FieldDef, GStructDef, PrimType};
 pub use hbuffer::HBuffer;
-pub use layout::{DataLayout, RecordReader, RecordView};
+pub use layout::{DataLayout, RecordReader, RecordView, RowElem};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
 pub use pool::{MemoryPool, PageRef, PoolError};
 pub use serialize::{decode_records, encode_records, FieldValue, Record};
