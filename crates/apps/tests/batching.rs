@@ -16,6 +16,7 @@ use gflink_apps::{concomp, kmeans, linreg, pagerank, pointadd, spmv, wordcount, 
 use gflink_core::{BatchConfig, FabricConfig};
 use gflink_flink::ClusterConfig;
 use gflink_gpu::GpuModel;
+use gflink_sim::trace::Cat;
 use gflink_sim::{FaultKind, FaultPlan, SimTime};
 use proptest::prelude::*;
 
@@ -117,6 +118,20 @@ fn assert_quiet(name: &str, run: &AppRun, setup: &Setup) {
     });
 }
 
+/// Pointadd at a size whose blocks back up and fuse on the shaped fabric.
+fn pointadd_run(s: &Setup) -> AppRun {
+    pointadd::run_gpu(
+        s,
+        &pointadd::Params {
+            n_logical: 4_000_000,
+            n_actual: 10_000,
+            iterations: 2,
+            parallelism: s.default_parallelism(),
+            delta: (1.0, -0.5),
+        },
+    )
+}
+
 #[test]
 fn every_app_is_digest_identical_batched_and_unbatched() {
     // Unbatched baselines, each on a fresh (saturating but non-batching)
@@ -161,19 +176,7 @@ proptest! {
         small_shift in 14u32..20, // 16 KiB ..= 512 KiB cutoff
         window_us in 10u64..200,
     ) {
-        let run = |s: &Setup| {
-            pointadd::run_gpu(
-                s,
-                &pointadd::Params {
-                    n_logical: 4_000_000,
-                    n_actual: 10_000,
-                    iterations: 2,
-                    parallelism: s.default_parallelism(),
-                    delta: (1.0, -0.5),
-                },
-            )
-        };
-        let baseline = run(&setup(BatchConfig::default()));
+        let baseline = pointadd_run(&setup(BatchConfig::default()));
         let batch = BatchConfig {
             enabled: true,
             max_works,
@@ -182,7 +185,7 @@ proptest! {
             ..BatchConfig::default()
         };
         let s = setup(batch);
-        let batched = run(&s);
+        let batched = pointadd_run(&s);
         assert_quiet("pointadd", &batched, &s);
         prop_assert_eq!(
             batched.digest.to_bits(),
@@ -202,26 +205,14 @@ proptest! {
         worker in 0usize..WORKERS,
         kill_us in 1_200_000u64..1_350_000,
     ) {
-        let run = |s: &Setup| {
-            pointadd::run_gpu(
-                s,
-                &pointadd::Params {
-                    n_logical: 4_000_000,
-                    n_actual: 10_000,
-                    iterations: 2,
-                    parallelism: s.default_parallelism(),
-                    delta: (1.0, -0.5),
-                },
-            )
-        };
-        let baseline = run(&setup(BatchConfig::enabled()));
+        let baseline = pointadd_run(&setup(BatchConfig::enabled()));
         let s = setup(BatchConfig::enabled());
         let plan = FaultPlan::new().with(
             SimTime::from_micros(kill_us),
             FaultKind::GpuLost { gpu: 0 },
         );
         s.fabric.with_managers(|ms| ms[worker].set_fault_plan(plan));
-        let faulted = run(&s);
+        let faulted = pointadd_run(&s);
         prop_assert_eq!(
             faulted.digest.to_bits(),
             baseline.digest.to_bits(),
@@ -241,5 +232,65 @@ proptest! {
         // batching — stayed engaged through the fault.
         let batches = faulted.report.gpu.as_ref().map_or(0, |g| g.batches);
         prop_assert!(batches > 0, "no batches fused; the kill test exercised nothing");
+    }
+}
+
+/// Transient and hung kernels inside fused flights: each afflicted member
+/// leaves its flight and retries, and the digest stays bit-identical to
+/// the unbatched baseline with nothing lost. The faults are scripted on
+/// every worker while batches are in the air; the trace shows they struck
+/// fused flights.
+#[test]
+fn kernel_faults_inside_fused_flights_are_digest_identical() {
+    let baseline = pointadd_run(&setup(BatchConfig::default()));
+    for (kind, instant) in [
+        (FaultKind::KernelTransient { gpu: 0 }, "transient"),
+        (FaultKind::KernelHang { gpu: 0 }, "hang"),
+    ] {
+        let s = setup(BatchConfig::enabled());
+        let tracer = s.fabric.enable_tracing();
+        // Three faults armed at once: the next flight on each stream is
+        // usually a lone work that found the stream idle; the flights
+        // behind it are fused batches.
+        let at = SimTime::from_micros(1_250_000);
+        let plan = FaultPlan::new()
+            .with(at, kind)
+            .with(at, kind)
+            .with(at, kind);
+        s.fabric.with_managers(|ms| {
+            for m in ms.iter_mut() {
+                m.set_fault_plan(plan.clone());
+            }
+        });
+        let faulted = pointadd_run(&s);
+        assert_eq!(
+            faulted.digest.to_bits(),
+            baseline.digest.to_bits(),
+            "{instant}: digest drifted from the unbatched baseline"
+        );
+        let f = &faulted.report.faults;
+        let counted = match kind {
+            FaultKind::KernelHang { .. } => f.hangs_detected,
+            _ => f.transient_faults,
+        };
+        assert!(counted > 0, "{instant}: the ledger missed the fault: {f:?}");
+        assert_eq!(f.works_failed, 0, "{instant}: {f:?}");
+        let batches = faulted.report.gpu.as_ref().map_or(0, |g| g.batches);
+        assert!(batches > 0, "{instant}: no batches fused");
+        // A fault instant fires as its flight's kernels launch, the instant
+        // the flight's H2D span ends on the same stream.
+        let fused_hit = tracer.with_events(|evs| {
+            evs.iter()
+                .filter(|e| e.cat == Cat::Recovery && e.name == instant)
+                .any(|hit| {
+                    evs.iter().any(|h2d| {
+                        h2d.name == "h2d"
+                            && (h2d.pid, h2d.tid) == (hit.pid, hit.tid)
+                            && h2d.interval().map(|(_, end)| end) == Some(hit.kind.at())
+                            && h2d.args.contains(&("op", "fused-batch".to_string()))
+                    })
+                })
+        });
+        assert!(fused_hit, "{instant}: no fault struck a fused flight");
     }
 }

@@ -17,7 +17,8 @@
 
 use crate::cache::{CachePolicy, GpuCache};
 use crate::config::TransferConfig;
-use crate::gwork::{CacheKey, GWork, WorkTiming};
+use crate::gstream::Member;
+use crate::gwork::{CacheKey, GWork};
 use crate::recovery::ManagerError;
 use gflink_gpu::{
     DevBufId, DeviceError, DeviceMemoryOps, DmemError, GpuModel, TransferMode, VirtualGpu,
@@ -26,55 +27,22 @@ use gflink_memory::{ArenaBuf, BufferArena, HBuffer, PinnedLease, PinnedPool, Pin
 use gflink_sim::trace::{gpu_pid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{Counter, Metrics, SimTime, Tracer};
 
-/// Result of staging one work's inputs onto a device (stage 1, H2D).
-pub(crate) struct StagedInputs {
-    /// Device buffers, one per work input, in input order.
-    pub dev_inputs: Vec<DevBufId>,
-    /// Buffers to free once the work leaves the device.
-    pub transient: Vec<DevBufId>,
-    /// Cache keys pinned for the duration of the work.
-    pub pinned: Vec<CacheKey>,
+/// Result of stage 1 (H2D) for a flight. Each member's device buffers and
+/// pins are written into the member itself.
+pub(crate) struct Staged {
     /// Pinned-pool leases backing the H2D copies; held until the copies
     /// land (the kernel stage), then released for recycling.
     pub staging: Vec<PinnedLease>,
     /// When the first H2D copy engine reservation starts; `None` when every
     /// input was a cache hit (no copy issued).
     pub h2d_start: Option<SimTime>,
-    /// When the last H2D copy lands (the kernel's earliest launch instant).
+    /// When the last H2D copy lands (the first kernel's earliest launch).
     pub kernel_earliest: SimTime,
-    /// Set when staging failed; partial placement is in the fields above
-    /// and must be reclaimed by the caller.
-    pub failure: Option<ManagerError>,
-}
-
-/// Per-member placement of one fused (batched) staging pass.
-pub(crate) struct StagedMember {
-    /// Device buffers, one per work input, in input order.
-    pub dev_inputs: Vec<DevBufId>,
-    /// Buffers to free once the member leaves the device.
-    pub transient: Vec<DevBufId>,
-    /// Cache keys pinned for the duration of the member.
-    pub pinned: Vec<CacheKey>,
-}
-
-/// Result of staging a whole batch of works through one fused H2D call
-/// (single per-call α for every member copy).
-pub(crate) struct FusedStaged {
-    /// Per-member placement, in member order (may be shorter than the batch
-    /// on failure — reclaim what is here).
-    pub members: Vec<StagedMember>,
-    /// Pinned-pool leases backing the fused copy; release after the copy
-    /// lands.
-    pub staging: Vec<PinnedLease>,
-    /// Fused copy reservation start; `None` when every input hit the cache.
-    pub h2d_start: Option<SimTime>,
-    /// When the fused copy lands (earliest launch of the first kernel).
-    pub kernel_earliest: SimTime,
-    /// Member copies folded into the one call (α is paid once instead of
-    /// this many times).
+    /// Member copies folded into one fused call (α is paid once instead of
+    /// this many times); zero for a lone work's per-input copies.
     pub upload_calls: usize,
-    /// Set when staging failed; the caller reclaims `members` and releases
-    /// `staging`.
+    /// Set when staging failed; partial placement is in the members and
+    /// `staging`, and must be reclaimed by the caller.
     pub failure: Option<ManagerError>,
 }
 
@@ -587,39 +555,39 @@ impl GMemoryManager {
         )
     }
 
-    /// Stage 1: bring a work's inputs onto device `gpu` (H2D copies,
-    /// skipped per-buffer on cache hits against the job's region). Every
-    /// cached buffer the work references is pinned until its D2H completes
-    /// so concurrent works cannot evict a live kernel argument. In pinned
-    /// mode each copy is fed from a pool staging buffer (leases ride in the
-    /// result until the copies land).
+    /// Stage 1: bring a lone work's inputs onto device `gpu`, one H2D copy
+    /// per input (skipped per-buffer on cache hits against the job's
+    /// region). Every cached buffer the work references is pinned until its
+    /// D2H completes so concurrent works cannot evict a live kernel
+    /// argument. In pinned mode each copy is fed from a pool staging buffer
+    /// (leases ride in the result until the copies land).
     pub(crate) fn stage_inputs(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
         owner: u64,
-        work: &GWork,
+        mb: &mut Member,
         t: SimTime,
-        timing: &mut WorkTiming,
-    ) -> StagedInputs {
-        let mut staged = StagedInputs {
-            dev_inputs: self.take_dev_vec(),
-            transient: self.take_dev_vec(),
-            pinned: self.take_key_vec(),
+    ) -> Staged {
+        mb.dev_inputs = self.take_dev_vec();
+        mb.transient = self.take_dev_vec();
+        mb.pinned = self.take_key_vec();
+        let mut staged = Staged {
             staging: self.take_lease_vec(),
             h2d_start: None,
             kernel_earliest: t,
+            upload_calls: 0,
             failure: None,
         };
-        for inbuf in &work.inputs {
+        for inbuf in &mb.work.inputs {
             let cached_dev = inbuf.cache_key.and_then(|key| region.lookup(key));
             match cached_dev {
                 Some(dev) => {
-                    timing.cache_hits += 1;
+                    mb.timing.cache_hits += 1;
                     let key = inbuf.cache_key.unwrap();
                     region.pin(key);
-                    staged.pinned.push(key);
-                    staged.dev_inputs.push(dev);
+                    mb.pinned.push(key);
+                    mb.dev_inputs.push(dev);
                     self.trace_cache_event(gpu, true, key, t);
                 }
                 None => {
@@ -647,7 +615,7 @@ impl GMemoryManager {
                             if let Some(l) = lease {
                                 self.pinned_pool.release(l);
                             }
-                            staged.transient.push(dev);
+                            mb.transient.push(dev);
                             staged.failure = Some(ManagerError::Device(e));
                             break;
                         }
@@ -655,8 +623,8 @@ impl GMemoryManager {
                     if let Some(l) = lease {
                         staged.staging.push(l);
                     }
-                    timing.h2d += r.duration();
-                    timing.bytes_h2d += inbuf.logical_bytes;
+                    mb.timing.h2d += r.duration();
+                    mb.timing.bytes_h2d += inbuf.logical_bytes;
                     staged.h2d_start = Some(match staged.h2d_start {
                         Some(s) => s.min(r.start),
                         None => r.start,
@@ -664,7 +632,7 @@ impl GMemoryManager {
                     staged.kernel_earliest = staged.kernel_earliest.max(r.end);
                     let mut keep = false;
                     if let Some(key) = inbuf.cache_key {
-                        timing.cache_misses += 1;
+                        mb.timing.cache_misses += 1;
                         self.trace_cache_event(gpu, false, key, t);
                         let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
                         for d in evicted {
@@ -676,21 +644,21 @@ impl GMemoryManager {
                                 let _ = self.dmem(gpu).release(old);
                             }
                             region.pin(key);
-                            staged.pinned.push(key);
+                            mb.pinned.push(key);
                             keep = true;
                         }
                     }
                     if !keep {
-                        staged.transient.push(dev);
+                        mb.transient.push(dev);
                     }
-                    staged.dev_inputs.push(dev);
+                    mb.dev_inputs.push(dev);
                 }
             }
         }
         staged
     }
 
-    /// Stage a whole batch of same-job works onto device `gpu` through one
+    /// Stage a fused batch of same-job works onto device `gpu` through one
     /// fused H2D call: every member's cache-miss copy is folded into a
     /// single engine reservation paying one per-call α. Cache semantics are
     /// identical to [`GMemoryManager::stage_inputs`], applied member by
@@ -702,12 +670,10 @@ impl GMemoryManager {
         region: &mut GpuCache,
         gpu: usize,
         owner: u64,
-        works: &[GWork],
+        members: &mut [Member],
         t: SimTime,
-        timings: &mut [WorkTiming],
-    ) -> FusedStaged {
-        let mut staged = FusedStaged {
-            members: Vec::with_capacity(works.len()),
+    ) -> Staged {
+        let mut staged = Staged {
             staging: self.take_lease_vec(),
             h2d_start: None,
             kernel_earliest: t,
@@ -723,19 +689,17 @@ impl GMemoryManager {
         }
         let mut pending: Vec<(u64, Src, DevBufId, usize)> = Vec::new();
         let mut reg_total = SimTime::ZERO;
-        'members: for (m, work) in works.iter().enumerate() {
-            let mut member = StagedMember {
-                dev_inputs: self.take_dev_vec(),
-                transient: self.take_dev_vec(),
-                pinned: self.take_key_vec(),
-            };
-            for (j, inbuf) in work.inputs.iter().enumerate() {
+        'members: for (m, mb) in members.iter_mut().enumerate() {
+            mb.dev_inputs = self.take_dev_vec();
+            mb.transient = self.take_dev_vec();
+            mb.pinned = self.take_key_vec();
+            for (j, inbuf) in mb.work.inputs.iter().enumerate() {
                 if let Some(dev) = inbuf.cache_key.and_then(|key| region.lookup(key)) {
-                    timings[m].cache_hits += 1;
+                    mb.timing.cache_hits += 1;
                     let key = inbuf.cache_key.unwrap();
                     region.pin(key);
-                    member.pinned.push(key);
-                    member.dev_inputs.push(dev);
+                    mb.pinned.push(key);
+                    mb.dev_inputs.push(dev);
                     self.trace_cache_event(gpu, true, key, t);
                     continue;
                 }
@@ -745,7 +709,6 @@ impl GMemoryManager {
                     Ok(dev) => dev,
                     Err(e) => {
                         staged.failure = Some(e);
-                        staged.members.push(member);
                         break 'members;
                     }
                 };
@@ -761,7 +724,7 @@ impl GMemoryManager {
                 pending.push((inbuf.logical_bytes, src, dev, m));
                 let mut keep = false;
                 if let Some(key) = inbuf.cache_key {
-                    timings[m].cache_misses += 1;
+                    mb.timing.cache_misses += 1;
                     self.trace_cache_event(gpu, false, key, t);
                     let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
                     for d in evicted {
@@ -773,16 +736,15 @@ impl GMemoryManager {
                             let _ = self.dmem(gpu).release(old);
                         }
                         region.pin(key);
-                        member.pinned.push(key);
+                        mb.pinned.push(key);
                         keep = true;
                     }
                 }
                 if !keep {
-                    member.transient.push(dev);
+                    mb.transient.push(dev);
                 }
-                member.dev_inputs.push(dev);
+                mb.dev_inputs.push(dev);
             }
-            staged.members.push(member);
         }
         if staged.failure.is_some() || pending.is_empty() {
             return staged;
@@ -792,7 +754,7 @@ impl GMemoryManager {
             .map(|&(logical, ref src, dev, _)| {
                 let buf: &HBuffer = match src {
                     Src::Lease(i) => self.pinned_pool.buffer(&staged.staging[*i]),
-                    Src::Direct(m, j) => &works[*m].inputs[*j].data,
+                    Src::Direct(m, j) => &members[*m].work.inputs[*j].data,
                 };
                 (logical, buf, dev)
             })
@@ -807,8 +769,8 @@ impl GMemoryManager {
         drop(items);
         let total: u64 = pending.iter().map(|p| p.0).sum();
         for &(logical, _, _, m) in &pending {
-            timings[m].h2d += pro_rata(r.duration(), logical, total);
-            timings[m].bytes_h2d += logical;
+            members[m].timing.h2d += pro_rata(r.duration(), logical, total);
+            members[m].timing.bytes_h2d += logical;
         }
         staged.h2d_start = Some(r.start);
         staged.kernel_earliest = r.end;
@@ -833,32 +795,24 @@ impl GMemoryManager {
         )
     }
 
-    /// Release a recovered or finished flight's device buffers and cache
-    /// pins (automatic deallocation, §4.2.1). A `None` `out_dev` means the
-    /// output was never allocated. No-ops harmlessly after device loss
-    /// (handles are dead, pins were cleared). The flight's bookkeeping
+    /// Release a recovered or finished flight member's device buffers and
+    /// cache pins (automatic deallocation, §4.2.1). A `None` `out_dev` means
+    /// the output was never allocated. No-ops harmlessly after device loss
+    /// (handles are dead, pins were cleared). The member's bookkeeping
     /// `Vec`s — including the input-handle list, whose buffers are either
     /// transient or cache-owned — go back to the pools for the next flight.
-    pub(crate) fn reclaim(
-        &mut self,
-        region: &mut GpuCache,
-        gpu: usize,
-        dev_inputs: Vec<DevBufId>,
-        mut transient: Vec<DevBufId>,
-        mut pinned: Vec<CacheKey>,
-        out_dev: Option<DevBufId>,
-    ) {
-        for d in transient.drain(..) {
+    pub(crate) fn reclaim(&mut self, region: &mut GpuCache, gpu: usize, mb: &mut Member) {
+        for &d in &mb.transient {
             let _ = self.dmem(gpu).release(d);
         }
-        for key in pinned.drain(..) {
+        for &key in &mb.pinned {
             region.unpin(key);
         }
-        if let Some(dev) = out_dev {
+        if let Some(dev) = mb.out_dev.take() {
             let _ = self.dmem(gpu).release(dev);
         }
-        self.put_dev_vec(dev_inputs);
-        self.put_dev_vec(transient);
-        self.put_key_vec(pinned);
+        self.put_dev_vec(std::mem::take(&mut mb.dev_inputs));
+        self.put_dev_vec(std::mem::take(&mut mb.transient));
+        self.put_key_vec(std::mem::take(&mut mb.pinned));
     }
 }

@@ -12,6 +12,9 @@
 //!   idle streams; if no stream is idle, park the work in a per-GPU queue.
 //! * When a stream frees, it **steals** per Algorithm 5.2: its own GPU's
 //!   queue first, then the longest queue.
+//! * A dispatch puts one `Flight` on a stream: a lone work, or a fused
+//!   transfer batch formed by [`crate::fused`]. One set of stage handlers
+//!   drives both; the member count picks per-work or fused copies.
 //! * Memory work (staging, allocation, reclaim) is delegated to the
 //!   [`GMemoryManager`]; fault bookkeeping and retry routing to the
 //!   [`RecoveryManager`].
@@ -22,8 +25,8 @@
 
 use crate::config::{BatchConfig, GpuWorkerConfig, HybridConfig};
 use crate::costmodel::{decide, CostModel, HybridRoute};
-use crate::fused::{FusedFlight, Parked, PendingBatch};
-use crate::gmemory::{GMemoryManager, StagedInputs};
+use crate::fused::{Parked, PendingBatch};
+use crate::gmemory::{pro_rata, GMemoryManager};
 use crate::gwork::{CacheKey, CompletedWork, GWork, WorkBuf, WorkTiming};
 use crate::jobsched::{JobScheduler, PennedWork};
 use crate::recovery::{FailReason, ManagerError, RecoveryManager, CPU_FALLBACK_GPU};
@@ -62,13 +65,13 @@ pub(crate) enum Ev {
         /// Stream index within the device's bulk.
         stream: usize,
     },
-    /// A work's H2D stage finished; launch its kernel.
+    /// A flight's H2D stage finished; launch its members' kernels.
     KernelStage(u64),
-    /// A work's kernel finished; start its D2H transfer.
+    /// A flight's kernels finished; start its D2H transfer.
     D2hStage(u64),
     /// A scripted fault fires.
     Fault(FaultKind),
-    /// Watchdog: check whether flight `id` is still wedged in its kernel.
+    /// Watchdog: check whether flight `id` is still wedged in a kernel.
     HangCheck(u64),
     /// A pending transfer batch's accumulation window expired; flush it to
     /// the queue unless epoch `epoch` was already flushed or superseded.
@@ -78,12 +81,6 @@ pub(crate) enum Ev {
         /// Identity of the pending batch the window was armed for.
         epoch: u64,
     },
-    /// A fused flight's H2D landed; launch its members' kernels.
-    FusedKernelStage(u64),
-    /// A fused flight's kernels all finished; start the fused D2H.
-    FusedD2hStage(u64),
-    /// Watchdog for a fused flight wedged in a member kernel.
-    FusedHangCheck(u64),
     /// A scripted membership event fires: a device joins the live fabric
     /// or gracefully leaves it.
     Membership(MembershipKind),
@@ -202,30 +199,77 @@ impl<T> FlightTable<T> {
     }
 }
 
-/// Per-work state carried between pipeline-stage events.
-struct InFlight {
+/// One work riding a [`Flight`]: the per-work state carried between
+/// pipeline-stage events.
+pub(crate) struct Member {
+    pub(crate) work: GWork,
+    retries: u32,
+    pub(crate) timing: WorkTiming,
+    /// Device buffers, one per work input, in input order.
+    pub(crate) dev_inputs: Vec<DevBufId>,
+    /// Buffers to free once the work leaves the device.
+    pub(crate) transient: Vec<DevBufId>,
+    /// Cache keys pinned for the duration of this work.
+    pub(crate) pinned: Vec<CacheKey>,
+    /// The output buffer; `None` until allocated.
+    pub(crate) out_dev: Option<DevBufId>,
+    emitted: Option<usize>,
+    /// When this member's kernel completes (a flight's kernels run
+    /// back-to-back on its stream).
+    kernel_end: SimTime,
+}
+
+impl Member {
+    fn new(qw: QueuedWork, t: SimTime) -> Member {
+        Member {
+            work: qw.work,
+            retries: qw.retries,
+            timing: WorkTiming {
+                submitted: qw.submitted,
+                started: t,
+                ..WorkTiming::default()
+            },
+            dev_inputs: Vec::new(),
+            transient: Vec::new(),
+            pinned: Vec::new(),
+            out_dev: None,
+            emitted: None,
+            kernel_end: SimTime::ZERO,
+        }
+    }
+
+    /// Logical bytes the D2H moves: variable-output kernels transfer only
+    /// the emitted fraction of the declared capacity.
+    fn d2h_bytes(&self) -> u64 {
+        match self.emitted {
+            Some(e) => {
+                (self.work.out_logical_bytes as u128 * e as u128
+                    / self.work.out_records.max(1) as u128) as u64
+            }
+            None => self.work.out_logical_bytes,
+        }
+    }
+}
+
+/// Works sharing one stream through the H2D → kernel → D2H pipeline. A
+/// lone work copies its inputs one call each and reads back alone; a fused
+/// batch (two or more members, see [`crate::fused`]) pays one per-call α
+/// per direction for the whole group.
+struct Flight {
     /// Monotonic creation stamp: device-loss recovery re-submits flights in
     /// `seq` order so the recovered event sequence is bit-identical to the
     /// pre-slab (never-reused-id) behaviour.
     seq: u64,
     job: JobId,
-    work: GWork,
-    retries: u32,
-    timing: WorkTiming,
     gpu: usize,
     stream: usize,
-    dev_inputs: Vec<DevBufId>,
-    transient: Vec<DevBufId>,
-    /// Cache keys pinned for the duration of this work.
-    pinned: Vec<CacheKey>,
     /// Pinned-pool staging leases backing the H2D; released once the copy
     /// has landed (kernel-stage entry) or the flight is recovered.
     staging: Vec<PinnedLease>,
-    out_dev: DevBufId,
-    emitted: Option<usize>,
-    /// An injected hang wedged this flight's kernel; only the watchdog
+    /// An injected hang wedged this flight's kernels; only the watchdog
     /// recovers it.
     hung: bool,
+    members: Vec<Member>,
 }
 
 /// Synthetic block-index floor for split children: adaptive block sizing
@@ -299,8 +343,13 @@ pub struct GStreamManager {
     rr_counter: usize,
     steals: u64,
     pub(crate) executed_per_gpu: Vec<u64>,
-    in_flight: FlightTable<InFlight>,
+    flights: FlightTable<Flight>,
     pub(crate) next_flight: u64,
+    /// Member lists of finished flights, recycled so a one-work flight
+    /// allocates none.
+    member_vecs: Vec<Vec<Member>>,
+    /// Scratch for a D2H's result leases, recycled across flights.
+    d2h_outs: Vec<ArenaBuf>,
     /// Small-GWork transfer batching policy.
     pub(crate) batch_cfg: BatchConfig,
     /// One accumulating batch per GPU; works that would otherwise queue
@@ -309,9 +358,6 @@ pub struct GStreamManager {
     /// Monotonic identity for pending batches (guards stale FlushBatch
     /// window events).
     pub(crate) batch_epoch: u64,
-    /// Fused flights, keyed like `in_flight` but driven by the Fused*
-    /// events.
-    pub(crate) fused_in_flight: FlightTable<FusedFlight>,
     /// Fused batches dispatched.
     pub(crate) fused_batches: u64,
     /// Works that travelled inside fused batches.
@@ -363,12 +409,13 @@ impl GStreamManager {
             rr_counter: 0,
             steals: 0,
             executed_per_gpu: vec![0; n_gpus],
-            in_flight: FlightTable::new(),
+            flights: FlightTable::new(),
             next_flight: 1,
+            member_vecs: Vec::new(),
+            d2h_outs: Vec::new(),
             batch_cfg: cfg.transfer.batch.clone(),
             batchers: (0..n_gpus).map(|_| None).collect(),
             batch_epoch: 0,
-            fused_in_flight: FlightTable::new(),
             fused_batches: 0,
             fused_works: 0,
             alpha_saved: SimTime::ZERO,
@@ -463,22 +510,39 @@ impl GStreamManager {
     }
 
     /// Emit one pipeline-stage span for a flight on its stream's thread,
-    /// tagged with the owning job and operator name.
-    fn trace_stage(&self, fl: &InFlight, stage: &'static str, start: SimTime, end: SimTime) {
+    /// tagged with the owning job and the operator name — or, for a fused
+    /// batch, `fused-batch` and the number of `works` the span covers.
+    fn trace_stage(
+        &self,
+        fl: &Flight,
+        stage: &'static str,
+        start: SimTime,
+        end: SimTime,
+        works: usize,
+    ) {
         if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    gpu_pid(self.worker_id, fl.gpu),
-                    stream_tid(fl.stream),
-                    Cat::Stage,
-                    stage,
-                    start,
-                    end,
-                )
-                .with_job(fl.job.0)
-                .with_arg("op", &fl.work.name),
-            );
+            let span = TraceEvent::span(
+                gpu_pid(self.worker_id, fl.gpu),
+                stream_tid(fl.stream),
+                Cat::Stage,
+                stage,
+                start,
+                end,
+            )
+            .with_job(fl.job.0);
+            self.tracer.record(match &fl.members[..] {
+                [mb] => span.with_arg("op", &mb.work.name),
+                _ => span
+                    .with_arg("op", "fused-batch")
+                    .with_arg("works", works as u64),
+            });
         }
+    }
+
+    /// Free `stream` at `at` and wake it then (Alg. 5.2).
+    fn free_stream(&mut self, gpu: usize, stream: usize, at: SimTime, q: &mut EventQueue<Ev>) {
+        self.stream_busy_until[gpu][stream] = at;
+        q.schedule(at, Ev::StreamFree { gpu, stream });
     }
 
     /// Streams per GPU (the stream bulk size).
@@ -520,8 +584,7 @@ impl GStreamManager {
     /// in flight (end-of-drain invariant).
     pub(crate) fn is_idle(&self) -> bool {
         self.sched.is_idle()
-            && self.in_flight.is_empty()
-            && self.fused_in_flight.is_empty()
+            && self.flights.is_empty()
             && self.merges.is_empty()
             && self.batchers.iter().all(Option::is_none)
     }
@@ -671,7 +734,9 @@ impl GStreamManager {
                 }
             }
         }
-        match self.policy {
+        // Alg. 5.1 placement: an idle (gpu, stream) to run on now, or the
+        // queue to park in.
+        let placed: Result<(usize, usize), usize> = match self.policy {
             SchedulingPolicy::LocalityAware
             | SchedulingPolicy::LocalityNoSteal
             | SchedulingPolicy::HybridCostModel => {
@@ -679,45 +744,22 @@ impl GStreamManager {
                     let session = eng.sessions.get(&job).expect("session open");
                     Self::locality_gpu(eng.gmem, session, &work)
                 };
-                // Algorithm 5.1.
-                let placed = match gid {
-                    Some(g) => match self.first_idle_stream(g, t) {
-                        Some(s) => Some((g, s)),
-                        None => self.most_idle_bulk(t),
-                    },
+                let idle = match gid {
+                    Some(g) => self
+                        .first_idle_stream(g, t)
+                        .map(|s| (g, s))
+                        .or_else(|| self.most_idle_bulk(t)),
                     None => self.most_idle_bulk(t),
                 };
-                match placed {
-                    Some((g, s)) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
-                    None => {
-                        // Lines 11–18: park in GID's queue, or the least
-                        // loaded usable queue when GID is null.
-                        let qi = match gid.filter(|&g| eng.gmem.usable(g)) {
-                            Some(g) => g,
-                            None => (0..self.sched.num_queues())
-                                .filter(|&i| eng.gmem.usable(i))
-                                .min_by_key(|&i| self.sched.queue_len(i))
-                                .unwrap(),
-                        };
-                        // Small works that would queue anyway accumulate
-                        // into a fused transfer batch instead — batching
-                        // only ever engages under backlog, so an idle
-                        // fabric sees zero added latency.
-                        if self.batchable(retries, &work) {
-                            self.enqueue_batched(job, work, submitted, retries, qi, t, q);
-                        } else {
-                            self.sched.park(
-                                qi,
-                                Parked::Single(QueuedWork {
-                                    job,
-                                    submitted,
-                                    retries,
-                                    work,
-                                }),
-                            );
-                        }
-                    }
-                }
+                // Lines 11–18: park in GID's queue, or the least loaded
+                // usable queue when GID is null.
+                idle.ok_or_else(|| match gid.filter(|&g| eng.gmem.usable(g)) {
+                    Some(g) => g,
+                    None => (0..self.sched.num_queues())
+                        .filter(|&i| eng.gmem.usable(i))
+                        .min_by_key(|&i| self.sched.queue_len(i))
+                        .unwrap(),
+                })
             }
             SchedulingPolicy::RoundRobin => {
                 let n = self.sched.num_queues();
@@ -726,37 +768,31 @@ impl GStreamManager {
                 while !eng.gmem.usable(g) {
                     g = (g + 1) % n;
                 }
-                match self.first_idle_stream(g, t) {
-                    Some(s) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
-                    None => self.sched.park(
-                        g,
-                        Parked::Single(QueuedWork {
-                            job,
-                            submitted,
-                            retries,
-                            work,
-                        }),
-                    ),
-                }
+                self.first_idle_stream(g, t).map(|s| (g, s)).ok_or(g)
             }
             SchedulingPolicy::Random { .. } => {
                 let usable: Vec<usize> = (0..self.sched.num_queues())
                     .filter(|&g| eng.gmem.usable(g))
                     .collect();
                 let g = usable[eng.rng.gen_index(usable.len())];
-                match self.first_idle_stream(g, t) {
-                    Some(s) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
-                    None => self.sched.park(
-                        g,
-                        Parked::Single(QueuedWork {
-                            job,
-                            submitted,
-                            retries,
-                            work,
-                        }),
-                    ),
-                }
+                self.first_idle_stream(g, t).map(|s| (g, s)).ok_or(g)
             }
+        };
+        let qw = QueuedWork {
+            job,
+            submitted,
+            retries,
+            work,
+        };
+        match placed {
+            Ok((g, s)) => self.execute(eng, Parked::Single(qw), g, s, t, q),
+            // Small works that would queue anyway accumulate into a fused
+            // transfer batch instead — batching only ever engages under
+            // backlog, so an idle fabric sees zero added latency.
+            Err(g) if self.policy.locality_aware() && self.batchable(&qw) => {
+                self.enqueue_batched(qw, g, t, q)
+            }
+            Err(g) => self.sched.park(g, Parked::Single(qw)),
         }
     }
 
@@ -838,130 +874,105 @@ impl GStreamManager {
                     );
                 }
             }
-            match parked {
-                Parked::Single(qw) => self.execute(
-                    eng,
-                    qw.job,
-                    qw.work,
-                    qw.submitted,
-                    qw.retries,
-                    gpu,
-                    stream,
-                    t,
-                    q,
-                ),
-                Parked::Fused(batch) => self.execute_fused(eng, batch, gpu, stream, t, q),
-            }
+            self.execute(eng, parked, gpu, stream, t, q);
         }
     }
 
-    /// Dispatch one GWork onto (gpu, stream): the stream is occupied until
-    /// the work's D2H completes. Pipeline stages are driven by events so a
-    /// stage's engine reservation is made only when its stream dependency
-    /// resolves — exactly how CUDA feeds its copy/compute engines. Eagerly
-    /// reserving all three stages here would block later H2Ds behind
-    /// not-yet-runnable D2H slots on single-copy-engine devices.
-    #[allow(clippy::too_many_arguments)]
+    /// Dispatch a parked entry onto (gpu, stream) as one flight: the stream
+    /// is occupied until the flight's D2H completes. Pipeline stages are
+    /// driven by events so a stage's engine reservation is made only when
+    /// its stream dependency resolves — exactly how CUDA feeds its
+    /// copy/compute engines. Eagerly reserving all three stages here would
+    /// block later H2Ds behind not-yet-runnable D2H slots on
+    /// single-copy-engine devices.
+    ///
+    /// A lone work stages its inputs one copy each; a fused batch stages
+    /// every member through one fused copy. On a staging or allocation
+    /// failure every member unwinds and retries on its own.
     fn execute(
         &mut self,
         eng: &mut Engine<'_>,
-        job: JobId,
-        work: GWork,
-        submitted: SimTime,
-        retries: u32,
+        parked: Parked,
         gpu: usize,
         stream: usize,
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        let mut timing = WorkTiming {
-            submitted,
-            started: t,
-            ..WorkTiming::default()
-        };
+        let job = parked.job();
+        let mut members = self.member_vecs.pop().unwrap_or_default();
+        match parked {
+            Parked::Single(qw) => members.push(Member::new(qw, t)),
+            Parked::Fused(b) => members.extend(b.members.into_iter().map(|qw| Member::new(qw, t))),
+        }
         let session = eng.sessions.get_mut(&job).expect("session open");
+        let region = &mut session.regions[gpu];
         // Stage 1: H2D (GMemoryManager; skipped per-buffer on cache hits).
-        let StagedInputs {
-            dev_inputs,
-            transient,
-            pinned,
-            staging,
-            h2d_start,
-            kernel_earliest,
-            mut failure,
-        } = eng
-            .gmem
-            .stage_inputs(&mut session.regions[gpu], gpu, job.0, &work, t, &mut timing);
+        let mut staged = match &mut members[..] {
+            [mb] => eng.gmem.stage_inputs(region, gpu, job.0, mb, t),
+            all => eng.gmem.stage_fused(region, gpu, job.0, all, t),
+        };
         // Output allocation (GMemoryManager, automatic).
-        let out_dev = if failure.is_none() {
-            match eng
-                .gmem
-                .alloc_output(&mut session.regions[gpu], gpu, &work, t)
-            {
-                Ok(dev) => Some(dev),
-                Err(e) => {
-                    failure = Some(e);
-                    None
+        if staged.failure.is_none() {
+            for mb in &mut members {
+                match eng.gmem.alloc_output(region, gpu, &mb.work, t) {
+                    Ok(dev) => mb.out_dev = Some(dev),
+                    Err(e) => {
+                        staged.failure = Some(e);
+                        break;
+                    }
                 }
             }
-        } else {
-            None
-        };
-        if let Some(err) = failure {
+        }
+        if let Some(err) = staged.failure {
             // Unwind the partial placement; the stream was never occupied.
-            eng.gmem.release_staging(staging);
-            let session = eng.sessions.get_mut(&job).expect("session open");
-            eng.gmem.reclaim(
-                &mut session.regions[gpu],
-                gpu,
-                dev_inputs,
-                transient,
-                pinned,
-                None,
-            );
-            self.route_retry_or_fail(
-                eng,
-                job,
-                work,
-                submitted,
-                retries,
-                t,
-                FailReason::Fatal(err),
-                q,
-            );
+            eng.gmem.release_staging(staged.staging);
+            for mb in members.drain(..) {
+                self.fail_member(eng, job, gpu, mb, t, FailReason::Fatal(err.clone()), q);
+            }
+            self.member_vecs.push(members);
             return;
         }
-        let out_dev = out_dev.expect("checked by failure branch");
         // Occupy the stream until the final stage completes.
         self.stream_busy_until[gpu][stream] = SimTime::MAX;
-        let seq = self.next_flight;
-        self.next_flight += 1;
-        let fl = InFlight {
-            seq,
+        let n = members.len();
+        if n > 1 {
+            let saved = eng
+                .gmem
+                .gpu(gpu)
+                .transfer_path()
+                .alpha_saved(staged.upload_calls);
+            self.fused_batches += 1;
+            self.fused_works += n as u64;
+            self.alpha_saved += saved;
+            session.batches += 1;
+            session.batched_works += n as u64;
+            session.alpha_saved += saved;
+            session.batch_sizes.add(n as f64);
+        }
+        let fl = Flight {
+            seq: self.next_flight,
             job,
-            work,
-            retries,
-            timing,
             gpu,
             stream,
-            dev_inputs,
-            transient,
-            pinned,
-            staging,
-            out_dev,
-            emitted: None,
+            staging: staged.staging,
             hung: false,
+            members,
         };
+        self.next_flight += 1;
         // Stage-1 span: from the first copy's engine start to the last
         // copy's landing. A full cache hit issues no copies — no span.
-        if let Some(start) = h2d_start {
-            self.trace_stage(&fl, "h2d", start, kernel_earliest);
+        if let Some(start) = staged.h2d_start {
+            self.trace_stage(&fl, "h2d", start, staged.kernel_earliest, n);
         }
-        let id = self.in_flight.insert(fl);
-        q.schedule(kernel_earliest, Ev::KernelStage(id));
+        let id = self.flights.insert(fl);
+        q.schedule(staged.kernel_earliest, Ev::KernelStage(id));
     }
 
-    /// Stage 2: the kernel launches once its inputs are device-resident.
+    /// Stage 2: once the inputs are device-resident, the members' kernels
+    /// launch back-to-back on the flight's stream. A member whose kernel is
+    /// not registered fails alone; a device error recovers the whole
+    /// flight. A scripted hang then wedges the flight, or each member rolls
+    /// for a transient fault of its own.
     pub(crate) fn on_kernel_stage(
         &mut self,
         eng: &mut Engine<'_>,
@@ -969,48 +980,66 @@ impl GStreamManager {
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        let Some(mut fl) = self.in_flight.remove(id) else {
+        let Some(mut fl) = self.flights.remove(id) else {
             // The flight was recovered (device loss) before this fired.
             return;
         };
         // The H2D has landed: the staging buffers go back to the pool.
         eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        let kernel = eng.registry.lock().get_by_id(fl.work.kernel).cloned();
-        let kernel = match kernel {
-            Some(k) => k,
-            None => {
+        let mut cursor = t;
+        let mut i = 0;
+        while i < fl.members.len() {
+            let mb = &mut fl.members[i];
+            let kernel = eng.registry.lock().get_by_id(mb.work.kernel).cloned();
+            let Some(kernel) = kernel else {
                 let err = ManagerError::KernelMissing {
-                    name: fl.work.execute_name.to_string(),
+                    name: mb.work.execute_name.to_string(),
                 };
-                self.recover_flight(eng, fl, t, t, FailReason::Fatal(err), q);
-                return;
-            }
-        };
-        let launched = eng.gmem.gpu_mut(fl.gpu).launch(
-            t,
-            &kernel,
-            &fl.dev_inputs,
-            &[fl.out_dev],
-            &fl.work.params,
-            fl.work.n_actual,
-            fl.work.n_logical,
-            fl.work.coalescing,
-        );
-        let (kres, profile) = match launched {
-            Ok(v) => v,
-            Err(e) => {
-                // The device failed underneath the flight (defensive: loss
-                // recovery normally removes flights first).
-                self.recover_flight(eng, fl, t, t, FailReason::Fatal(ManagerError::Device(e)), q);
-                return;
-            }
-        };
-        fl.timing.kernel = kres.duration();
-        fl.emitted = profile.emitted;
-        let end = kres.end;
-        self.trace_stage(&fl, "kernel", kres.start, kres.end);
-        // Scripted hang: the kernel never completes; the stream stays
-        // occupied until the watchdog recovers the work.
+                let mb = fl.members.remove(i);
+                self.fail_member(eng, fl.job, fl.gpu, mb, t, FailReason::Fatal(err), q);
+                continue;
+            };
+            let launched = eng.gmem.gpu_mut(fl.gpu).launch(
+                cursor,
+                &kernel,
+                &mb.dev_inputs,
+                &[mb.out_dev.expect("allocated at dispatch")],
+                &mb.work.params,
+                mb.work.n_actual,
+                mb.work.n_logical,
+                mb.work.coalescing,
+            );
+            let (kres, profile) = match launched {
+                Ok(v) => v,
+                Err(e) => {
+                    // The device failed underneath the flight (defensive:
+                    // loss recovery normally removes flights first).
+                    self.recover_flight(
+                        eng,
+                        fl,
+                        t,
+                        t,
+                        FailReason::Fatal(ManagerError::Device(e)),
+                        q,
+                    );
+                    return;
+                }
+            };
+            mb.timing.kernel = kres.duration();
+            mb.emitted = profile.emitted;
+            mb.kernel_end = kres.end;
+            cursor = kres.end;
+            self.trace_stage(&fl, "kernel", kres.start, kres.end, 1);
+            i += 1;
+        }
+        if fl.members.is_empty() {
+            // No member launched: the stream frees at once.
+            self.free_stream(fl.gpu, fl.stream, t, q);
+            self.member_vecs.push(fl.members);
+            return;
+        }
+        // Scripted hang: the kernels never complete; the stream stays
+        // occupied until the watchdog recovers the flight.
         if eng.recovery.take_hang(fl.gpu) {
             fl.hung = true;
             if self.tracer.enabled() {
@@ -1029,25 +1058,51 @@ impl GStreamManager {
                 t.as_nanos()
                     .saturating_add(eng.recovery.hang_timeout().as_nanos()),
             );
-            let id = self.in_flight.insert(fl);
+            let id = self.flights.insert(fl);
             q.schedule(deadline, Ev::HangCheck(id));
             return;
         }
-        // Transient fault injection: scripted, or random at `failure_rate`
-        // (ECC error, lost context, a preempted device). Failure is
-        // detected at kernel completion; the GPUManager reclaims the
-        // buffers and reschedules the work after backoff.
-        let scripted = eng.recovery.take_transient(fl.gpu);
-        if scripted || eng.recovery.random_transient(&mut *eng.rng) {
-            {
-                let session = eng.sessions.get_mut(&fl.job).expect("session open");
-                eng.recovery.note_transient_fault(session);
-                if self.metrics.enabled() {
-                    session.recorder.push(
-                        RecEvent::new(t, RecKind::TransientFault, self.worker_id as u32)
-                            .on_gpu(fl.gpu),
-                    );
-                }
+        let faulted = self.roll_transients(eng, &mut fl, t);
+        let d2h_at = fl.members.iter().map(|mb| mb.kernel_end).max();
+        if d2h_at.is_none() {
+            // Every member faulted: the stream frees at the (wasted)
+            // kernel end.
+            self.free_stream(fl.gpu, fl.stream, cursor, q);
+        }
+        // Faulted members go back through Alg. 5.1 for a fresh placement
+        // after backoff.
+        for mb in faulted {
+            let at = mb.kernel_end.max(t);
+            self.fail_member(eng, fl.job, fl.gpu, mb, at, FailReason::RetriesExhausted, q);
+        }
+        match d2h_at {
+            Some(at) => {
+                let id = self.flights.insert(fl);
+                q.schedule(at, Ev::D2hStage(id));
+            }
+            None => self.member_vecs.push(fl.members),
+        }
+    }
+
+    /// Transient fault injection, rolled member by member: scripted, or
+    /// random at `failure_rate` (ECC error, lost context, a preempted
+    /// device). Failure is detected at kernel completion. Returns the
+    /// afflicted members, taken out of the flight.
+    fn roll_transients(&self, eng: &mut Engine<'_>, fl: &mut Flight, t: SimTime) -> Vec<Member> {
+        let mut faulted = Vec::new();
+        let mut i = 0;
+        while i < fl.members.len() {
+            let scripted = eng.recovery.take_transient(fl.gpu);
+            if !(scripted || eng.recovery.random_transient(&mut *eng.rng)) {
+                i += 1;
+                continue;
+            }
+            let session = eng.sessions.get_mut(&fl.job).expect("session open");
+            eng.recovery.note_transient_fault(session);
+            if self.metrics.enabled() {
+                session.recorder.push(
+                    RecEvent::new(t, RecKind::TransientFault, self.worker_id as u32).on_gpu(fl.gpu),
+                );
             }
             if self.tracer.enabled() {
                 self.tracer.record(
@@ -1061,16 +1116,15 @@ impl GStreamManager {
                     .with_job(fl.job.0),
                 );
             }
-            // The stream frees at the (wasted) kernel end; the work goes
-            // back through Alg. 5.1 for a fresh placement after backoff.
-            self.recover_flight(eng, fl, end, end.max(t), FailReason::RetriesExhausted, q);
-            return;
+            faulted.push(fl.members.remove(i));
         }
-        let id = self.in_flight.insert(fl);
-        q.schedule(end, Ev::D2hStage(id));
+        faulted
     }
 
-    /// Stage 3: results travel back; the stream frees at the copy's end.
+    /// Stage 3: results travel back — in one copy for a lone work, in one
+    /// fused copy (one α) for a batch, split back per member by bytes — and
+    /// the stream frees at the copy's end. Each member then completes on
+    /// its own.
     pub(crate) fn on_d2h_stage(
         &mut self,
         eng: &mut Engine<'_>,
@@ -1078,94 +1132,115 @@ impl GStreamManager {
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        let Some(mut fl) = self.in_flight.remove(id) else {
+        let Some(mut fl) = self.flights.remove(id) else {
             // The flight was recovered (device loss) before this fired.
             return;
         };
-        // Variable-output kernels transfer only the emitted fraction of the
-        // declared capacity.
-        let d2h_logical = match fl.emitted {
-            Some(e) => {
-                (fl.work.out_logical_bytes as u128 * e as u128 / fl.work.out_records.max(1) as u128)
-                    as u64
+        let (job, gpu, stream, n) = (fl.job, fl.gpu, fl.stream, fl.members.len());
+        // Result buffers are arena leases, recycled from earlier flights of
+        // the same output size (zero-on-hit keeps a fused split
+        // bit-identical to per-work fresh allocations).
+        let mut outs = std::mem::take(&mut self.d2h_outs);
+        outs.extend(
+            fl.members
+                .iter()
+                .map(|mb| eng.gmem.lease_output(job.0, mb.work.out_actual_bytes)),
+        );
+        let dev = eng.gmem.gpu_mut(gpu);
+        let out_dev = |mb: &Member| mb.out_dev.expect("allocated at dispatch");
+        let copied = match (&fl.members[..], &mut outs[..]) {
+            ([mb], [out]) => dev.copy_d2h(t, mb.d2h_bytes(), out_dev(mb), out),
+            _ => {
+                let mut items: Vec<(u64, DevBufId, &mut HBuffer)> = fl
+                    .members
+                    .iter()
+                    .zip(outs.iter_mut())
+                    .map(|(mb, h)| (mb.d2h_bytes(), out_dev(mb), &mut **h))
+                    .collect();
+                dev.copy_d2h_batch(t, &mut items)
             }
-            None => fl.work.out_logical_bytes,
         };
-        let mut out_host = eng.gmem.lease_output(fl.job.0, fl.work.out_actual_bytes);
-        let rd2h =
-            match eng
-                .gmem
-                .gpu_mut(fl.gpu)
-                .copy_d2h(t, d2h_logical, fl.out_dev, &mut out_host)
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    // Defensive: loss recovery removes flights before this can
-                    // fire, but a failed readback still routes through retry.
-                    self.recover_flight(
-                        eng,
-                        fl,
-                        t,
-                        t,
-                        FailReason::Fatal(ManagerError::Device(e)),
-                        q,
-                    );
-                    return;
-                }
+        let r = match copied {
+            Ok(r) => r,
+            Err(e) => {
+                // Defensive: loss recovery removes flights before this can
+                // fire, but a failed readback still routes through retry.
+                outs.clear();
+                self.d2h_outs = outs;
+                self.recover_flight(eng, fl, t, t, FailReason::Fatal(ManagerError::Device(e)), q);
+                return;
+            }
+        };
+        if n > 1 {
+            let saved = eng.gmem.gpu(gpu).transfer_path().alpha_saved(n);
+            self.alpha_saved += saved;
+            eng.sessions
+                .get_mut(&job)
+                .expect("session open")
+                .alpha_saved += saved;
+        }
+        self.trace_stage(&fl, "d2h", r.start, r.end, n);
+        self.free_stream(gpu, stream, r.end, q);
+        let total: u64 = fl.members.iter().map(Member::d2h_bytes).sum();
+        for (mut mb, output) in fl.members.drain(..).zip(outs.drain(..)) {
+            let bytes = mb.d2h_bytes();
+            mb.timing.d2h = match n {
+                1 => r.duration(),
+                _ => pro_rata(r.duration(), bytes, total),
             };
-        fl.timing.d2h = rd2h.duration();
-        fl.timing.bytes_d2h = d2h_logical;
-        fl.timing.completed = rd2h.end;
-        self.trace_stage(&fl, "d2h", rd2h.start, rd2h.end);
+            mb.timing.bytes_d2h = bytes;
+            mb.timing.completed = r.end;
+            self.complete(eng, job, gpu, stream, mb, output);
+        }
+        self.d2h_outs = outs;
+        self.member_vecs.push(fl.members);
+    }
+
+    /// A member's results landed: release its device state, count it, feed
+    /// the cost model and hand the completion to its consumer.
+    fn complete(
+        &mut self,
+        eng: &mut Engine<'_>,
+        job: JobId,
+        gpu: usize,
+        stream: usize,
+        mut mb: Member,
+        output: ArenaBuf,
+    ) {
         // Automatic deallocation of transient buffers (§4.2.1) and
         // unpinning of the cached inputs.
-        let session = eng.sessions.get_mut(&fl.job).expect("session open");
-        eng.gmem.reclaim(
-            &mut session.regions[fl.gpu],
-            fl.gpu,
-            fl.dev_inputs,
-            fl.transient,
-            fl.pinned,
-            Some(fl.out_dev),
-        );
-        self.stream_busy_until[fl.gpu][fl.stream] = rd2h.end;
-        self.executed_per_gpu[fl.gpu] += 1;
+        let session = eng.sessions.get_mut(&job).expect("session open");
+        eng.gmem.reclaim(&mut session.regions[gpu], gpu, &mut mb);
+        self.executed_per_gpu[gpu] += 1;
         self.m_completed.inc();
-        self.metrics.maybe_sample(rd2h.end);
-        q.schedule(
-            rd2h.end,
-            Ev::StreamFree {
-                gpu: fl.gpu,
-                stream: fl.stream,
-            },
-        );
+        self.metrics.maybe_sample(mb.timing.completed);
         if let Some(cm) = self.cost_model.as_mut() {
             // Score the prediction against this completion first (the error
             // gauges the model as it stood), then fold the observation in.
-            let kbytes = fl.work.input_logical_bytes() + fl.work.out_logical_bytes;
-            let pred = cm.h2d_time(fl.gpu, fl.timing.bytes_h2d)
-                + cm.gpu_kernel_time(fl.gpu, fl.work.kernel, kbytes)
-                + cm.d2h_time(fl.gpu, fl.timing.bytes_d2h);
-            let obs = fl.timing.h2d + fl.timing.kernel + fl.timing.d2h;
+            let (w, tm) = (&mb.work, &mb.timing);
+            let kbytes = w.input_logical_bytes() + w.out_logical_bytes;
+            let pred = cm.h2d_time(gpu, tm.bytes_h2d)
+                + cm.gpu_kernel_time(gpu, w.kernel, kbytes)
+                + cm.d2h_time(gpu, tm.bytes_d2h);
+            let obs = tm.h2d + tm.kernel + tm.d2h;
             if !obs.is_zero() {
                 let rel = crate::model::prediction_error(pred, obs);
-                cm.observe_error(fl.work.kernel, rel);
+                cm.observe_error(w.kernel, rel);
                 session.hybrid_err.record_nanos((rel * 10_000.0) as u64);
                 self.m_model_err.set((rel * 1_000.0) as u64);
             }
-            cm.observe_gpu_kernel(fl.gpu, fl.work.kernel, kbytes, fl.timing.kernel);
-            cm.observe_h2d(fl.gpu, fl.timing.bytes_h2d, fl.timing.h2d);
-            cm.observe_d2h(fl.gpu, fl.timing.bytes_d2h, fl.timing.d2h);
+            cm.observe_gpu_kernel(gpu, w.kernel, kbytes, tm.kernel);
+            cm.observe_h2d(gpu, tm.bytes_h2d, tm.h2d);
+            cm.observe_d2h(gpu, tm.bytes_d2h, tm.d2h);
         }
-        let job = fl.job;
         let done = CompletedWork {
-            name: fl.work.name,
-            tag: fl.work.tag,
-            gpu: fl.gpu,
-            stream: fl.stream,
-            output: out_host,
-            emitted: fl.emitted,
-            timing: fl.timing,
+            name: mb.work.name,
+            tag: mb.work.tag,
+            gpu,
+            stream,
+            output,
+            emitted: mb.emitted,
+            timing: mb.timing,
         };
         self.deliver(eng, job, done);
     }
@@ -1244,9 +1319,9 @@ impl GStreamManager {
     }
 
     /// Evacuate a device that just left the live fabric (lost to a fault
-    /// or gracefully retired): blacklist its streams, recover its in-flight
-    /// works and fused flights onto the event loop, and drain its queue —
-    /// and any accumulating batch — onto the survivors.
+    /// or gracefully retired): blacklist its streams, recover every member
+    /// of its flights onto the event loop, and drain its queue — and any
+    /// accumulating batch — onto the survivors.
     fn drain_device(
         &mut self,
         eng: &mut Engine<'_>,
@@ -1262,44 +1337,26 @@ impl GStreamManager {
         // re-submit event sequence — and thus the timeline — matches the
         // pre-slab behaviour exactly (slot ids are reused; seqs are not).
         let mut ids: Vec<(u64, u64)> = self
-            .in_flight
+            .flights
             .iter()
             .filter(|(_, fl)| fl.gpu == gpu)
             .map(|(id, fl)| (fl.seq, id))
             .collect();
         ids.sort_unstable();
         for (_, id) in ids {
-            let mut fl = self.in_flight.remove(id).expect("id collected above");
-            // Device buffers died with the device; nothing to
-            // reclaim. Host-side staging leases survive and go back
-            // to the pool. Loss is not the work's fault: it
-            // re-enters scheduling immediately and keeps its retry
-            // budget.
+            let mut fl = self.flights.remove(id).expect("id collected above");
+            // Device buffers died with the device; nothing to reclaim.
+            // Host-side staging leases survive and go back to the pool.
+            // Loss is not the works' fault: each member re-enters
+            // scheduling immediately and keeps its retry budget.
             eng.gmem.release_staging(std::mem::take(&mut fl.staging));
             let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.recovery.note_retry(session);
-            q.schedule(
-                t,
-                Ev::submit(fl.job, fl.timing.submitted, fl.retries, fl.work),
-            );
-        }
-        // Fused flights on the dead device recover the same way,
-        // member by member.
-        let mut fids: Vec<(u64, u64)> = self
-            .fused_in_flight
-            .iter()
-            .filter(|(_, fl)| fl.gpu == gpu)
-            .map(|(id, fl)| (fl.seq, id))
-            .collect();
-        fids.sort_unstable();
-        for (_, id) in fids {
-            let mut fl = self.fused_in_flight.remove(id).expect("id collected above");
-            eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-            let job = fl.job;
             for mb in fl.members {
-                let session = eng.sessions.get_mut(&job).expect("session open");
                 eng.recovery.note_retry(session);
-                q.schedule(t, Ev::submit(job, mb.timing.submitted, mb.retries, mb.work));
+                q.schedule(
+                    t,
+                    Ev::submit(fl.job, mb.timing.submitted, mb.retries, mb.work),
+                );
             }
         }
         // Drain the dead device's queue — and its accumulating
@@ -1432,7 +1489,7 @@ impl GStreamManager {
     }
 
     /// The watchdog fires `hang_timeout` after a launch; a flight still
-    /// wedged in its kernel is recovered and retried.
+    /// wedged in its kernels is recovered and every member retried.
     pub(crate) fn on_hang_check(
         &mut self,
         eng: &mut Engine<'_>,
@@ -1440,66 +1497,58 @@ impl GStreamManager {
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        let hung = self.in_flight.get(id).map(|fl| fl.hung).unwrap_or(false);
-        if !hung {
+        if !self.flights.get(id).is_some_and(|fl| fl.hung) {
             // Completed normally, or already recovered by device loss.
             return;
         }
-        let fl = self.in_flight.remove(id).expect("checked above");
-        {
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.recovery.note_hang_detected(session);
-            if self.metrics.enabled() {
-                session.recorder.push(
-                    RecEvent::new(t, RecKind::HangDetected, self.worker_id as u32).on_gpu(fl.gpu),
-                );
-            }
+        let fl = self.flights.remove(id).expect("checked above");
+        let session = eng.sessions.get_mut(&fl.job).expect("session open");
+        eng.recovery.note_hang_detected(session);
+        if self.metrics.enabled() {
+            session.recorder.push(
+                RecEvent::new(t, RecKind::HangDetected, self.worker_id as u32).on_gpu(fl.gpu),
+            );
         }
         self.recover_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
     }
 
-    /// Common tail of every in-place flight recovery: reclaim the flight's
-    /// buffers and pins, free its stream at `stream_free_at`, and route the
-    /// work through retry-or-fail at `retry_at`.
+    /// Common tail of every in-place flight recovery: free the flight's
+    /// stream at `stream_free_at`, then unwind each member through
+    /// retry-or-fail at `retry_at`.
     fn recover_flight(
         &mut self,
         eng: &mut Engine<'_>,
-        mut fl: InFlight,
+        mut fl: Flight,
         stream_free_at: SimTime,
         retry_at: SimTime,
         reason: FailReason,
         q: &mut EventQueue<Ev>,
     ) {
         eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        {
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.gmem.reclaim(
-                &mut session.regions[fl.gpu],
-                fl.gpu,
-                std::mem::take(&mut fl.dev_inputs),
-                std::mem::take(&mut fl.transient),
-                std::mem::take(&mut fl.pinned),
-                Some(fl.out_dev),
-            );
+        self.free_stream(fl.gpu, fl.stream, stream_free_at, q);
+        for mb in fl.members.drain(..) {
+            self.fail_member(eng, fl.job, fl.gpu, mb, retry_at, reason.clone(), q);
         }
-        self.stream_busy_until[fl.gpu][fl.stream] = stream_free_at;
-        q.schedule(
-            stream_free_at,
-            Ev::StreamFree {
-                gpu: fl.gpu,
-                stream: fl.stream,
-            },
-        );
-        self.route_retry_or_fail(
-            eng,
-            fl.job,
-            fl.work,
-            fl.timing.submitted,
-            fl.retries,
-            retry_at,
-            reason,
-            q,
-        );
+        self.member_vecs.push(fl.members);
+    }
+
+    /// Reclaim one member's buffers and pins, then route it through
+    /// retry-or-fail at `at`.
+    #[allow(clippy::too_many_arguments)]
+    fn fail_member(
+        &mut self,
+        eng: &mut Engine<'_>,
+        job: JobId,
+        gpu: usize,
+        mut mb: Member,
+        at: SimTime,
+        reason: FailReason,
+        q: &mut EventQueue<Ev>,
+    ) {
+        let session = eng.sessions.get_mut(&job).expect("session open");
+        eng.gmem.reclaim(&mut session.regions[gpu], gpu, &mut mb);
+        let submitted = mb.timing.submitted;
+        self.route_retry_or_fail(eng, job, mb.work, submitted, mb.retries, at, reason, q);
     }
 }
 

@@ -70,5 +70,3 @@ pub use stream::{
     StreamSource, Tumbling, WatermarkStamp, WatermarkStrategy, WindowAssigner, WindowOutput,
     WindowPipeline, WindowSpan, WindowedRun, WindowedStream,
 };
-#[allow(deprecated)]
-pub use stream::{run_cpu_stream, run_gpu_stream};

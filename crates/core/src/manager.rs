@@ -362,15 +362,6 @@ impl GpuManager {
                     Ev::FlushBatch { gpu, epoch } => {
                         self.gstream.on_flush_batch(gpu, epoch, t, &mut q)
                     }
-                    Ev::FusedKernelStage(id) => {
-                        self.gstream.on_fused_kernel_stage(&mut eng, id, t, &mut q)
-                    }
-                    Ev::FusedD2hStage(id) => {
-                        self.gstream.on_fused_d2h_stage(&mut eng, id, t, &mut q)
-                    }
-                    Ev::FusedHangCheck(id) => {
-                        self.gstream.on_fused_hang_check(&mut eng, id, t, &mut q)
-                    }
                     Ev::Membership(kind) => self
                         .gstream
                         .on_membership(&mut eng, kind, &self.cfg, t, &mut q),

@@ -117,8 +117,8 @@ enum Engine {
     },
 }
 
-/// The engine-parameterized streaming environment — the one non-deprecated
-/// entry point into the streaming layer.
+/// The engine-parameterized streaming environment — the one entry point
+/// into the streaming layer.
 #[derive(Clone)]
 pub struct StreamEnv {
     engine: Engine,
@@ -530,10 +530,8 @@ impl<'a, T> WindowPipeline<'a, T> {
                 latency_hist: hist,
                 last_latency,
                 finished_at: finished,
-                lost: Vec::new(),
                 late_records: ing.late,
-                parked_works: 0,
-                park_delay: SimTime::ZERO,
+                ..StreamReport::empty()
             },
             windows: outputs,
             watermarks: ing.stamps,
@@ -1039,10 +1037,7 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
             latency_hist: hist,
             last_latency,
             finished_at: finished,
-            lost: Vec::new(),
-            late_records: 0,
-            parked_works: 0,
-            park_delay: SimTime::ZERO,
+            ..StreamReport::empty()
         })
     }
 }
@@ -1150,6 +1145,39 @@ mod tests {
         assert!(report.lost.is_empty());
         assert!(report.latency.mean() > 0.0);
         assert!(report.sustained(10.0));
+    }
+
+    #[test]
+    fn map_surfaces_lost_batches_instead_of_panicking() {
+        // Kill every GPU on worker 0 mid-stream with CPU fallback disabled:
+        // the run must complete and report the losses, all on worker 0.
+        let mut cfg = FabricConfig::default();
+        cfg.worker.cpu_fallback = CpuFallback {
+            enabled: false,
+            ..CpuFallback::default()
+        };
+        let f = fabric_with(2, cfg);
+        f.with_managers(|ms| {
+            ms[0].set_fault_plan(
+                FaultPlan::new()
+                    .with(SimTime::from_millis(400), FaultKind::GpuLost { gpu: 0 })
+                    .with(SimTime::from_millis(400), FaultKind::GpuLost { gpu: 1 }),
+            );
+        });
+        let s = source(20_000_000.0);
+        let report = StreamEnv::gpu(&f)
+            .source(s.clone(), |i| Sample { v: i as f32 })
+            .map_kernel::<Sample>(GpuMapSpec::new("streamDouble").uncached())
+            .run_each(|_, _| {})
+            .expect("run completes, degraded");
+        assert!(
+            !report.lost.is_empty(),
+            "batches on the dead worker must surface as lost"
+        );
+        assert_eq!(report.batches + report.lost.len(), s.num_batches());
+        for l in &report.lost {
+            assert_eq!(l.worker, 0, "only the killed worker loses batches");
+        }
     }
 
     #[test]

@@ -27,10 +27,6 @@
 //! `(seed, FaultPlan)`, and [`WindowedRun::digest`] is bit-identical
 //! across engines, placement policies, fault plans, concurrency and
 //! crash→restore boundaries.
-//!
-//! The free functions [`run_cpu_stream`]/[`run_gpu_stream`] are the
-//! pre-DataStream entry points, kept as thin deprecated shims over the
-//! builder.
 
 mod env;
 mod source;
@@ -48,10 +44,9 @@ pub use window::{
     WindowOutput, WindowSpan,
 };
 
-use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode, SpecError};
+use crate::gdst::SpecError;
 use crate::jobsched::AdmissionError;
 use crate::recovery::FailReason;
-use gflink_flink::{ClusterConfig, OpCost};
 use gflink_sim::{LogHistogram, SimTime, Summary};
 
 /// Why a stream pipeline refused to run — configuration errors surfaced
@@ -190,196 +185,9 @@ impl StreamReport {
     }
 }
 
-/// Run a streaming map on the **CPU**: each batch occupies one task slot of
-/// a round-robin worker/slot from its arrival instant.
-#[deprecated(note = "use `StreamEnv::cpu(cfg).source(..).map_fn(..)` instead")]
-pub fn run_cpu_stream<T, U>(
-    cluster_cfg: &ClusterConfig,
-    source: &StreamSource,
-    cost: OpCost,
-    gen: impl Fn(u64) -> T,
-    op: impl Fn(&T) -> U,
-) -> StreamReport {
-    if source.num_batches() == 0 {
-        return StreamReport::empty();
-    }
-    StreamEnv::cpu(cluster_cfg)
-        .source(source.clone(), gen)
-        .map_fn(cost, op)
-        .run()
-        .expect("validated: source is non-empty")
-}
-
-/// Run a streaming map on **GFlink's GPU fabric**: each micro-batch becomes
-/// one [`GWork`](crate::GWork) submitted at its arrival instant; the
-/// GStreamManager's pipeline and scheduling absorb the stream. A batch that
-/// terminally fails (device loss past every retry and fallback) lands in
-/// [`StreamReport::lost`] — it no longer panics the driver.
-#[deprecated(note = "use `StreamEnv::gpu(fabric).source(..).map_kernel(..)` instead")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_gpu_stream<T: GRecord, U: GRecord>(
-    fabric: &GpuFabric,
-    _num_workers: usize,
-    source: &StreamSource,
-    kernel: &str,
-    params: Vec<f64>,
-    gen: impl Fn(u64) -> T,
-    check: impl Fn(&[U]),
-) -> StreamReport {
-    if source.num_batches() == 0 {
-        return StreamReport::empty();
-    }
-    let spec = GpuMapSpec::new(kernel)
-        .uncached() // streaming batches are seen once
-        .with_params(params)
-        .with_out_mode(OutMode::PerRecord);
-    StreamEnv::gpu(fabric)
-        .source(source.clone(), gen)
-        .map_kernel::<U>(spec)
-        .run_each(|_, records| check(records))
-        .expect("stream job admitted")
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::gdst::FabricConfig;
-    use crate::recovery::CpuFallback;
-    use gflink_gpu::{KernelArgs, KernelProfile};
-    use gflink_memory::{
-        AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-    };
-    use gflink_sim::{FaultKind, FaultPlan};
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Sample {
-        v: f32,
-    }
-    impl GRecord for Sample {
-        fn def() -> GStructDef {
-            GStructDef::new(
-                "Sample",
-                AlignClass::Align4,
-                vec![FieldDef::scalar("v", PrimType::F32)],
-            )
-        }
-        fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-            view.set_f64(idx, 0, 0, self.v as f64);
-        }
-        fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-            Sample {
-                v: reader.get_f64(idx, 0, 0) as f32,
-            }
-        }
-    }
-
-    fn fabric_with(workers: usize, cfg: FabricConfig) -> GpuFabric {
-        let f = GpuFabric::new(workers, cfg);
-        f.register_kernel("streamDouble", |args: &mut KernelArgs<'_, '_>| {
-            let def = Sample::def();
-            let n = args.n_actual;
-            let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-            let out_buf = &mut args.outputs[0];
-            let mut out = RecordView::new(out_buf, &def, DataLayout::Aos, n);
-            for i in 0..n {
-                out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) * 2.0);
-            }
-            KernelProfile::new(args.n_logical as f64 * 200.0, args.n_logical as f64 * 8.0)
-        });
-        f
-    }
-
-    fn source(rate: f64) -> StreamSource {
-        StreamSource::at_rate(rate).for_duration(SimTime::from_secs(5))
-    }
-
-    #[test]
-    fn deprecated_shims_still_run() {
-        let rate = 2_000_000.0;
-        let cluster = ClusterConfig::standard(2);
-        let cpu = run_cpu_stream(
-            &cluster,
-            &source(rate),
-            OpCost::new(200.0, 8.0),
-            |i| Sample { v: i as f32 },
-            |s| Sample { v: s.v * 2.0 },
-        );
-        let f = fabric_with(2, FabricConfig::default());
-        let gpu = run_gpu_stream::<Sample, Sample>(
-            &f,
-            2,
-            &source(rate),
-            "streamDouble",
-            vec![],
-            |i| Sample { v: i as f32 },
-            |records| {
-                for r in records {
-                    assert_eq!(r.v % 2.0, 0.0);
-                }
-            },
-        );
-        assert!(cpu.sustained(2.0));
-        assert!(gpu.sustained(2.0));
-        assert!(gpu.lost.is_empty());
-        // Throughput matches the offered rate (both keep up).
-        assert!((cpu.throughput(&source(rate)) - rate).abs() / rate < 0.25);
-        assert!((gpu.throughput(&source(rate)) - rate).abs() / rate < 0.25);
-    }
-
-    #[test]
-    fn shim_on_empty_source_returns_empty_report() {
-        // rate × duration below one batch: the legacy arithmetic yields 0
-        // batches; the shim short-circuits instead of erroring.
-        let s = StreamSource::at_rate(1_000.0);
-        let cluster = ClusterConfig::standard(1);
-        let r = run_cpu_stream(
-            &cluster,
-            &s,
-            OpCost::new(1.0, 1.0),
-            |i| Sample { v: i as f32 },
-            |s| s.clone(),
-        );
-        assert_eq!(r.batches, 0);
-        assert!(r.sustained(1.5), "zero-mean latency must not divide");
-    }
-
-    #[test]
-    fn shim_surfaces_lost_batches_instead_of_panicking() {
-        // Kill every GPU on worker 0 mid-stream with CPU fallback disabled:
-        // the legacy code panicked at `expect("batch lost in the stream")`;
-        // the shim must complete and report the losses.
-        let mut cfg = FabricConfig::default();
-        cfg.worker.cpu_fallback = CpuFallback {
-            enabled: false,
-            ..CpuFallback::default()
-        };
-        let f = fabric_with(2, cfg);
-        f.with_managers(|ms| {
-            ms[0].set_fault_plan(
-                FaultPlan::new()
-                    .with(SimTime::from_millis(400), FaultKind::GpuLost { gpu: 0 })
-                    .with(SimTime::from_millis(400), FaultKind::GpuLost { gpu: 1 }),
-            );
-        });
-        let report = run_gpu_stream::<Sample, Sample>(
-            &f,
-            2,
-            &source(20_000_000.0),
-            "streamDouble",
-            vec![],
-            |i| Sample { v: i as f32 },
-            |_| {},
-        );
-        assert!(
-            !report.lost.is_empty(),
-            "batches on the dead worker must surface as lost"
-        );
-        assert!(report.batches + report.lost.len() == source(20_000_000.0).num_batches());
-        for l in &report.lost {
-            assert_eq!(l.worker, 0, "only the killed worker loses batches");
-        }
-    }
 
     #[test]
     fn sustained_guard_handles_zero_mean() {

@@ -7,12 +7,12 @@
 //! [`SoloJob`] shim below.
 
 use gflink_core::{
-    CacheKey, CompletedWork, CpuFallback, FailReason, FailedWork, GWork, GpuCache, GpuManager,
-    GpuWorkerConfig, JobId, ManagerError, SchedulingPolicy, WorkBuf, CPU_FALLBACK_GPU,
+    BatchConfig, CacheKey, CompletedWork, CpuFallback, FailReason, FailedWork, GWork, GpuCache,
+    GpuManager, GpuWorkerConfig, JobId, ManagerError, SchedulingPolicy, WorkBuf, CPU_FALLBACK_GPU,
 };
 use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
 use gflink_memory::HBuffer;
-use gflink_sim::{FaultKind, FaultPlan, RetryPolicy, SimTime};
+use gflink_sim::{FaultKind, FaultPlan, Metrics, RetryPolicy, SimTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -538,6 +538,57 @@ fn completions_and_failures_partition_submissions() {
     assert_eq!(m.gpu(0).dmem.used(), 0);
     assert_eq!(m.take_failed().len(), 5);
     assert!(m.failed().is_empty());
+
+    // The same split through fused transfer batches: small works backed up
+    // on one single-stream GPU. A missing kernel fails only its own member,
+    // at once; its batch mates complete and reach the metrics plane.
+    let mut cfg = GpuWorkerConfig {
+        models: vec![GpuModel::TeslaC2050],
+        streams_per_gpu: 1,
+        ..GpuWorkerConfig::default()
+    };
+    cfg.transfer.batch = BatchConfig::enabled();
+    let small = 64 << 10;
+    assert!(small <= cfg.transfer.batch.small_work_bytes);
+    let mut m = GpuManager::new(0, cfg, registry_with_scale2());
+    let metrics = Metrics::new(SimTime::from_micros(100));
+    m.set_metrics(&metrics);
+    for i in 0..16 {
+        let mut w = mk_work((0, i), small, false);
+        if i % 2 == 1 {
+            w.execute_name = "no-such-kernel".into();
+        }
+        m.submit(w, SimTime::ZERO);
+    }
+    let done = m.drain();
+    assert!(
+        m.fused_batches() > 0,
+        "nothing fused; the case tests nothing"
+    );
+    assert_eq!(done.len(), 8);
+    for d in &done {
+        assert_eq!(d.output.to_f32_vec(), vec![2.0, 4.0, 6.0, 8.0]);
+    }
+    assert_eq!(m.failed().len(), 8);
+    for f in m.failed() {
+        assert!(
+            matches!(
+                f.reason,
+                FailReason::Fatal(ManagerError::KernelMissing { .. })
+            ),
+            "{:?}",
+            f.reason
+        );
+        assert_eq!(f.retries, 0, "a missing kernel is never retried");
+    }
+    assert_eq!(m.fault_ledger().retries, 0);
+    assert_eq!(m.gpu(0).dmem.used(), 0);
+    assert!(
+        metrics
+            .export_prometheus()
+            .contains("gflink_works_completed_total{worker=\"0\"} 8\n"),
+        "every fused completion must be counted"
+    );
 }
 
 #[test]

@@ -3,11 +3,13 @@
 //! bundles are each a pure function of the (seed, FaultPlan) pair. Two
 //! runs from the same seed and plan produce byte-identical bytes — so an
 //! export attached to a bug report *is* the run, not a run like it —
-//! while a different seed produces different bytes.
+//! while a different seed produces different bytes. Fixed runs' exports
+//! are also pinned by hash, so a change that moves every run alike is
+//! caught too.
 
 use gflink_core::{
-    CacheKey, FabricConfig, GRecord, GWork, GflinkEnv, GpuFabric, GpuManager, GpuMapSpec,
-    GpuWorkerConfig, JobId, WorkBuf,
+    BatchConfig, CacheKey, FabricConfig, GRecord, GWork, GflinkEnv, GpuFabric, GpuManager,
+    GpuMapSpec, GpuWorkerConfig, JobId, WorkBuf,
 };
 use gflink_flink::{ClusterConfig, SharedCluster};
 use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
@@ -82,6 +84,10 @@ fn plan() -> FaultPlan {
 }
 
 fn run_once(seed: u64) -> String {
+    run_once_with(seed, plan())
+}
+
+fn run_once_with(seed: u64, plan: FaultPlan) -> String {
     let mut m = GpuManager::new(
         0,
         GpuWorkerConfig {
@@ -97,7 +103,7 @@ fn run_once(seed: u64) -> String {
     );
     let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
     m.set_tracer(tracer.clone());
-    m.set_fault_plan(plan());
+    m.set_fault_plan(plan);
     let job = JobId(1);
     m.begin_job(job);
     let mut rng = SimRng::new(seed);
@@ -140,6 +146,10 @@ fn trace_records_fault_and_recovery_events() {
 /// `run_once` with the metrics plane attached instead of the tracer:
 /// returns the lifetime-registry exports.
 fn run_metrics_once(seed: u64) -> (String, String) {
+    run_metrics_once_with(seed, plan())
+}
+
+fn run_metrics_once_with(seed: u64, plan: FaultPlan) -> (String, String) {
     let mut m = GpuManager::new(
         0,
         GpuWorkerConfig {
@@ -155,7 +165,7 @@ fn run_metrics_once(seed: u64) -> (String, String) {
     );
     let metrics = Metrics::new(SimTime::from_micros(100));
     m.set_metrics(&metrics);
-    m.set_fault_plan(plan());
+    m.set_fault_plan(plan);
     let job = JobId(1);
     m.begin_job(job);
     let mut rng = SimRng::new(seed);
@@ -190,6 +200,121 @@ fn metrics_exports_differ_across_seeds() {
     // Seed-drawn logical sizes move the histograms and the time series.
     assert_ne!(prom_a, prom_c, "a different seed must change the export");
     assert_ne!(json_a, json_c);
+}
+
+// --- Pinned exports ------------------------------------------------------
+//
+// Run-twice equality cannot catch a change that moves both runs the same
+// way. These pins hold the exact export bytes (as FNV-1a hashes) of fixed
+// (seed, FaultPlan) runs, so any drift in event order, timing, span labels
+// or metric values fails here.
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// [`plan`] plus a hung kernel on GPU 0, so the watchdog path is pinned
+/// as well.
+fn hang_plan() -> FaultPlan {
+    plan().with(SimTime::from_micros(500), FaultKind::KernelHang { gpu: 0 })
+}
+
+#[test]
+fn solo_trace_exports_are_pinned() {
+    let pins = [
+        (fnv1a(run_once(42).as_bytes()), PIN_TRACE_42),
+        (fnv1a(run_once(43).as_bytes()), PIN_TRACE_43),
+        (
+            fnv1a(run_once_with(42, hang_plan()).as_bytes()),
+            PIN_TRACE_HANG,
+        ),
+    ];
+    for (i, (got, want)) in pins.into_iter().enumerate() {
+        assert_eq!(got, want, "trace pin {i}: got {got:#018x}");
+    }
+}
+
+#[test]
+fn solo_metrics_exports_are_pinned() {
+    let (prom, json) = run_metrics_once(42);
+    let (hprom, hjson) = run_metrics_once_with(42, hang_plan());
+    let pins = [
+        (fnv1a(prom.as_bytes()), PIN_PROM_42),
+        (fnv1a(json.as_bytes()), PIN_JSON_42),
+        (fnv1a(hprom.as_bytes()), PIN_PROM_HANG),
+        (fnv1a(hjson.as_bytes()), PIN_JSON_HANG),
+    ];
+    for (i, (got, want)) in pins.into_iter().enumerate() {
+        assert_eq!(got, want, "metrics pin {i}: got {got:#018x}");
+    }
+}
+
+const PIN_TRACE_42: u64 = 0x753e_99b9_1ce7_a463;
+const PIN_TRACE_43: u64 = 0x069b_b061_85b1_dfc1;
+const PIN_TRACE_HANG: u64 = 0xd520_f17a_3e3e_f61e;
+const PIN_PROM_42: u64 = 0x4782_4ae4_bd27_7651;
+const PIN_JSON_42: u64 = 0x3f42_a4cd_209c_265b;
+const PIN_PROM_HANG: u64 = 0x1bcf_884b_b1e4_6df5;
+const PIN_JSON_HANG: u64 = 0x3b64_6ae0_4fb4_956d;
+const PIN_FUSED_TIMELINE: u64 = 0x0402_ea99_27b5_5dc5;
+const PIN_FUSED_TRACE: u64 = 0x53e2_3440_8890_0dd0;
+
+/// A fault-free batching run: 24 small works (half cached) on one
+/// single-stream C2050, submitted faster than the stream drains them, so
+/// the batcher fuses. Returns the per-work `(tag, started, h2d, kernel,
+/// d2h, completed)` list in tag order, the trace export and the number of
+/// fused batches.
+fn fused_run() -> (String, String, u64) {
+    let mut cfg = GpuWorkerConfig {
+        models: vec![GpuModel::TeslaC2050],
+        streams_per_gpu: 1,
+        ..GpuWorkerConfig::default()
+    };
+    cfg.transfer.batch = BatchConfig::enabled();
+    let mut m = GpuManager::new(0, cfg, registry());
+    let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
+    m.set_tracer(tracer.clone());
+    let job = JobId(1);
+    m.begin_job(job);
+    let mut rng = SimRng::new(7);
+    for i in 0..24 {
+        let mut w = mk_work(i, &mut rng);
+        let logical = (16 << 10) + rng.gen_range(48 << 10);
+        w.inputs[0].logical_bytes = logical;
+        w.out_logical_bytes = logical;
+        w.n_logical = logical / 4;
+        m.submit_for(job, w, SimTime::from_micros(u64::from(i) * 2));
+    }
+    let mut done = m.drain_job(job);
+    assert_eq!(done.len(), 24, "all works must complete");
+    done.sort_by_key(|d| d.tag);
+    let mut timeline = String::new();
+    for d in &done {
+        let t = &d.timing;
+        timeline.push_str(&format!(
+            "{:?} {} {} {} {} {}\n",
+            d.tag,
+            t.started.as_nanos(),
+            t.h2d.as_nanos(),
+            t.kernel.as_nanos(),
+            t.d2h.as_nanos(),
+            t.completed.as_nanos()
+        ));
+    }
+    (timeline, tracer.export_chrome_json(), m.fused_batches())
+}
+
+#[test]
+fn fused_timeline_is_pinned() {
+    let (timeline, trace, batches) = fused_run();
+    assert!(batches > 0, "the batching run fused nothing");
+    let got = fnv1a(timeline.as_bytes());
+    assert_eq!(got, PIN_FUSED_TIMELINE, "got {got:#018x}:\n{timeline}");
+    let got = fnv1a(trace.as_bytes());
+    assert_eq!(got, PIN_FUSED_TRACE, "fused trace: got {got:#018x}");
 }
 
 // --- Flight-recorder postmortems through the full GDST stack -----------

@@ -261,7 +261,7 @@ impl VirtualGpu {
             self.dmem.upload(dst, host)?;
         }
         let total: u64 = items.iter().map(|&(b, _, _)| b).sum();
-        let dur = self.scale_by_health(self.transfer.time_for_fused(total, items.len()));
+        let dur = self.copy_time(total);
         self.bytes_h2d += total;
         self.m_bytes_h2d.add(total);
         let engine = self.copy_engine_index(CopyDirection::H2D);
@@ -295,7 +295,7 @@ impl VirtualGpu {
             self.dmem.download(*src, host)?;
         }
         let total: u64 = items.iter().map(|&(b, _, _)| b).sum();
-        let dur = self.scale_by_health(self.transfer.time_for_fused(total, items.len()));
+        let dur = self.copy_time(total);
         self.bytes_d2h += total;
         self.m_bytes_d2h.add(total);
         let engine = self.copy_engine_index(CopyDirection::D2H);
