@@ -62,6 +62,9 @@ pub enum StreamError {
     /// An event-time operation (windowing) was requested but the stream
     /// has no timestamp assigner.
     NoTimestamps,
+    /// The window assigner is degenerate: a zero size, slide or session
+    /// gap, or a sliding window whose slide exceeds its size.
+    InvalidWindow(WindowAssigner),
     /// The pipeline stage requires the other engine.
     WrongEngine {
         /// The engine the stage needs (`"cpu"` or `"gpu"`).
@@ -81,6 +84,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::NoTimestamps => {
                 write!(f, "windowing requires timestamps(..) on the stream")
+            }
+            StreamError::InvalidWindow(w) => {
+                write!(f, "degenerate window assigner {w:?}")
             }
             StreamError::WrongEngine { needed } => {
                 write!(f, "pipeline stage requires the {needed} engine")

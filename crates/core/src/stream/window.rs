@@ -8,13 +8,16 @@
 //! reopening state. Session windows have no static spans — panes merge as
 //! records bridge the inactivity gap, exactly once, keyed deterministically.
 //!
-//! Everything here is `BTreeMap`-ordered and folds values in insertion
-//! order, so the CPU aggregation path and the GPU windowed-aggregation
-//! kernel produce bit-identical floating-point results: the GPU work packs
-//! panes in this module's iteration order and the kernel folds them with
-//! the same [`AggResult::fold`].
+//! Tumbling and sliding panes live flat: one arrival-ordered row buffer
+//! per open span, stably sorted by key when the span fires. Every pane
+//! therefore folds its values in insertion order, so the CPU aggregation
+//! path and the GPU windowed-aggregation kernel produce bit-identical
+//! floating-point results: the GPU work packs the fired rows as they lie
+//! and the kernel folds them with the same [`AggResult::push`].
 
 use super::time::{fnv1a, WatermarkStamp, FNV_OFFSET};
+use super::StreamError;
+use crate::checkpoint::{OpenPane, StreamState};
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -80,45 +83,49 @@ impl Session {
 }
 
 impl WindowAssigner {
-    /// Static spans containing event time `ts` (tumbling/sliding only;
-    /// session spans are dynamic and grow by merging).
-    pub fn assign(&self, ts: SimTime) -> Vec<WindowSpan> {
-        match *self {
-            WindowAssigner::Tumbling { size } => {
-                let size_n = size.as_nanos().max(1);
-                let start = ts.as_nanos() / size_n * size_n;
-                vec![WindowSpan {
-                    start: SimTime::from_nanos(start),
-                    end: SimTime::from_nanos(start + size_n),
-                }]
+    /// Static spans containing event time `ts`, ascending by start
+    /// (tumbling/sliding only; session spans are dynamic and grow by
+    /// merging). Pure arithmetic over the epoch-aligned span grid: nothing
+    /// is allocated per record.
+    pub fn assign(&self, ts: SimTime) -> impl Iterator<Item = WindowSpan> {
+        let (size, slide) = match *self {
+            WindowAssigner::Tumbling { size } => (size.as_nanos(), size.as_nanos()),
+            WindowAssigner::Sliding { size, slide } => (size.as_nanos(), slide.as_nanos()),
+            WindowAssigner::Session { .. } => (1, 1),
+        };
+        let (size, slide) = (size.max(1), slide.max(1));
+        let ts = ts.as_nanos();
+        // Every multiple of `slide` in `(ts − size, ts]`.
+        let first = ts.saturating_add(1).saturating_sub(size).div_ceil(slide) * slide;
+        let last = ts / slide * slide;
+        let count = match *self {
+            WindowAssigner::Session { .. } => 0,
+            _ if first > last => 0,
+            _ => (last - first) / slide + 1,
+        };
+        (0..count).map(move |i| {
+            let start = first + i * slide;
+            WindowSpan {
+                start: SimTime::from_nanos(start),
+                end: SimTime::from_nanos(start + size),
             }
-            WindowAssigner::Sliding { size, slide } => {
-                let size_n = size.as_nanos().max(1);
-                let slide_n = slide.as_nanos().max(1);
-                let ts_n = ts.as_nanos();
-                let mut starts = Vec::new();
-                let mut s = ts_n / slide_n * slide_n;
-                loop {
-                    if s + size_n > ts_n {
-                        starts.push(s);
-                    } else {
-                        break;
-                    }
-                    if s < slide_n {
-                        break;
-                    }
-                    s -= slide_n;
-                }
-                starts.reverse(); // ascending start order
-                starts
-                    .into_iter()
-                    .map(|start| WindowSpan {
-                        start: SimTime::from_nanos(start),
-                        end: SimTime::from_nanos(start + size_n),
-                    })
-                    .collect()
-            }
-            WindowAssigner::Session { .. } => Vec::new(),
+        })
+    }
+
+    /// Refuse degenerate assigners: a zero size, slide or gap, or a slide
+    /// wider than the window (records in the gaps would belong to no
+    /// window and be miscounted as late). A zero slide would give every
+    /// record one span per nanosecond of window size.
+    pub(crate) fn validate(&self) -> Result<(), StreamError> {
+        let ok = match *self {
+            WindowAssigner::Tumbling { size } => !size.is_zero(),
+            WindowAssigner::Sliding { size, slide } => !slide.is_zero() && slide <= size,
+            WindowAssigner::Session { gap } => !gap.is_zero(),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(StreamError::InvalidWindow(*self))
         }
     }
 }
@@ -197,9 +204,9 @@ impl AggResult {
         max: f64::NEG_INFINITY,
     };
 
-    /// Fold one more value in. Both the CPU path ([`AggResult::fold`]) and
-    /// the GPU kernel fold through exactly this, value by value in
-    /// insertion order, so results are bit-identical.
+    /// Fold one more value in. Both the CPU engine and the GPU kernel fold
+    /// each pane through exactly this, value by value in insertion order,
+    /// so results are bit-identical.
     #[inline]
     pub fn push(&mut self, v: f64) {
         self.count += 1;
@@ -271,18 +278,40 @@ pub fn output_digest(outputs: &[WindowOutput]) -> u64 {
     h
 }
 
-/// One open `(span, key)` pane: buffered values in insertion order plus
-/// the accumulated logical weight (paper-scale record count).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Pane {
-    pub(crate) span: WindowSpan,
+/// One buffered record: its key, the aggregated value, and its logical
+/// weight (paper-scale record count).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Row {
     pub(crate) key: u64,
-    pub(crate) values: Vec<f64>,
+    pub(crate) value: f64,
     pub(crate) logical: f64,
 }
 
-/// A window the watermark released: every pane of one span, keys
-/// ascending, ready to execute as one unit of work.
+/// One open session pane: its rows in insertion order plus the
+/// accumulated logical weight (summed in merge order, which is why it is
+/// kept rather than re-derived from the rows).
+#[derive(Clone, Debug, PartialEq)]
+struct Pane {
+    span: WindowSpan,
+    rows: Vec<Row>,
+    logical: f64,
+}
+
+/// One pane of a fired window: the key's rows are
+/// `rows[first..first + len]` of the window's row array.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct PaneRange {
+    pub(crate) key: u64,
+    pub(crate) first: usize,
+    pub(crate) len: usize,
+    /// The pane's logical weight, summed in the pane's insertion order.
+    pub(crate) logical: f64,
+}
+
+/// A window the watermark released: every pane of one span, ready to
+/// execute as one unit of work. Flat: one row array, sorted by key with
+/// each key's values in insertion order, plus one [`PaneRange`] per key,
+/// ascending.
 #[derive(Clone, Debug)]
 pub(crate) struct FiredWindow {
     /// Fire order — the GPU work tag and checkpoint block identity.
@@ -290,31 +319,80 @@ pub(crate) struct FiredWindow {
     pub(crate) span: WindowSpan,
     /// The arrival instant whose watermark advance released the window.
     pub(crate) fire_at: SimTime,
-    pub(crate) panes: Vec<Pane>,
+    pub(crate) rows: Vec<Row>,
+    pub(crate) panes: Vec<PaneRange>,
 }
 
 impl FiredWindow {
     pub(crate) fn rows(&self) -> usize {
-        self.panes.iter().map(|p| p.values.len()).sum()
+        self.rows.len()
     }
 
     pub(crate) fn logical(&self) -> u64 {
         (self.panes.iter().map(|p| p.logical).sum::<f64>()).round() as u64
     }
+
+    /// The rows of one pane, in insertion order.
+    pub(crate) fn pane_rows(&self, pane: &PaneRange) -> &[Row] {
+        &self.rows[pane.first..pane.first + pane.len]
+    }
+
+    /// Fold one pane's values in insertion order — the fold the GPU kernel
+    /// performs over the same rows.
+    pub(crate) fn fold(&self, pane: &PaneRange) -> AggResult {
+        let mut r = AggResult::EMPTY;
+        for row in self.pane_rows(pane) {
+            r.push(row.value);
+        }
+        r
+    }
 }
 
-/// The keyed event-time state machine: open panes, the watermark, the
+/// Group an arrival-ordered row buffer into key-ascending panes. The sort
+/// is stable, so each key's rows keep their insertion order, and each
+/// pane's weight sums in that order — exactly how a per-pane buffer would
+/// have accumulated them.
+fn group_by_key(mut rows: Vec<Row>) -> (Vec<Row>, Vec<PaneRange>) {
+    rows.sort_by_key(|r| r.key);
+    let mut panes: Vec<PaneRange> = Vec::new();
+    for (i, r) in rows.iter().enumerate() {
+        if panes.last().is_none_or(|p| p.key != r.key) {
+            panes.push(PaneRange {
+                key: r.key,
+                first: i,
+                len: 0,
+                logical: 0.0,
+            });
+        }
+        let pane = panes
+            .last_mut()
+            .expect("a pane for this key was just opened");
+        pane.len += 1;
+        pane.logical += r.logical;
+    }
+    (rows, panes)
+}
+
+/// The keyed event-time state machine: open windows, the watermark, the
 /// late-record counter, and the fire sequence. Driven batch-by-batch by
 /// the engines; identical inputs produce identical fire sequences on
 /// every engine.
+///
+/// Tumbling and sliding windows keep one arrival-ordered row buffer per
+/// open span, ordered by `(end, start)`. Whether a span is closed depends
+/// on its end alone, so the spans a watermark releases are a prefix of
+/// that order, and firing pops them from the front. Sessions keep one
+/// pane per `(start, end, key)`, since a record may merge panes.
 pub(crate) struct KeyedWindows {
     assigner: WindowAssigner,
     lateness: SimTime,
     bound: SimTime,
     pub(crate) max_ts: Option<SimTime>,
     pub(crate) watermark: Option<SimTime>,
-    /// Keyed `(start ns, end ns, key)` for deterministic iteration.
-    pub(crate) open: BTreeMap<(u64, u64, u64), Pane>,
+    /// Tumbling/sliding: open spans keyed `(end ns, start ns)`.
+    spans: BTreeMap<(u64, u64), Vec<Row>>,
+    /// Sessions: open panes keyed `(start ns, end ns, key)`.
+    sessions: BTreeMap<(u64, u64, u64), Pane>,
     pub(crate) late_records: u64,
     pub(crate) fire_seq: u32,
     pub(crate) stamps: Vec<WatermarkStamp>,
@@ -328,7 +406,8 @@ impl KeyedWindows {
             bound,
             max_ts: None,
             watermark: None,
-            open: BTreeMap::new(),
+            spans: BTreeMap::new(),
+            sessions: BTreeMap::new(),
             late_records: 0,
             fire_seq: 0,
             stamps: Vec::new(),
@@ -344,50 +423,48 @@ impl KeyedWindows {
         }
     }
 
-    /// Route one record into its pane(s); counts it late when every
+    /// Route one record into its window(s); counts it late when every
     /// assigned window already fired.
     pub(crate) fn insert(&mut self, ts: SimTime, key: u64, value: f64, logical: f64) {
         self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
-        match self.assigner {
-            WindowAssigner::Session { gap } => self.insert_session(ts, key, value, logical, gap),
-            _ => {
-                let spans = self.assigner.assign(ts);
-                let mut landed = false;
-                for span in spans {
-                    if self.closed(span.end) {
-                        continue;
-                    }
-                    landed = true;
-                    let k = (span.start.as_nanos(), span.end.as_nanos(), key);
-                    let pane = self.open.entry(k).or_insert_with(|| Pane {
-                        span,
-                        key,
-                        values: Vec::new(),
-                        logical: 0.0,
-                    });
-                    pane.values.push(value);
-                    pane.logical += logical;
-                }
-                if !landed {
-                    self.late_records += 1;
-                }
+        let row = Row {
+            key,
+            value,
+            logical,
+        };
+        let assigner = self.assigner;
+        if let WindowAssigner::Session { gap } = assigner {
+            return self.insert_session(ts, row, gap);
+        }
+        let mut landed = false;
+        for span in assigner.assign(ts) {
+            if self.closed(span.end) {
+                continue;
             }
+            landed = true;
+            self.spans
+                .entry((span.end.as_nanos(), span.start.as_nanos()))
+                .or_default()
+                .push(row);
+        }
+        if !landed {
+            self.late_records += 1;
         }
     }
 
     /// Session insertion: merge every same-key pane whose gap-extended
     /// interval touches the record's, earliest-first, then absorb the
     /// record. A record whose own session would fire instantly is late.
-    fn insert_session(&mut self, ts: SimTime, key: u64, value: f64, logical: f64, gap: SimTime) {
+    fn insert_session(&mut self, ts: SimTime, row: Row, gap: SimTime) {
         if self.closed(ts + gap) {
             self.late_records += 1;
             return;
         }
         let touching: Vec<(u64, u64, u64)> = self
-            .open
+            .sessions
             .iter()
             .filter(|((_, _, k), pane)| {
-                *k == key && ts <= pane.span.end && pane.span.start <= ts + gap
+                *k == row.key && ts <= pane.span.end && pane.span.start <= ts + gap
             })
             .map(|(k, _)| *k)
             .collect();
@@ -395,23 +472,22 @@ impl KeyedWindows {
             start: ts,
             end: ts + gap,
         };
-        let mut values = Vec::new();
+        let mut rows = Vec::new();
         let mut weight = 0.0;
         for k in touching {
-            let pane = self.open.remove(&k).expect("touching pane exists");
+            let pane = self.sessions.remove(&k).expect("touching pane exists");
             span.start = span.start.min(pane.span.start);
             span.end = span.end.max(pane.span.end);
-            values.extend(pane.values);
+            rows.extend(pane.rows);
             weight += pane.logical;
         }
-        values.push(value);
-        weight += logical;
-        self.open.insert(
-            (span.start.as_nanos(), span.end.as_nanos(), key),
+        rows.push(row);
+        weight += row.logical;
+        self.sessions.insert(
+            (span.start.as_nanos(), span.end.as_nanos(), row.key),
             Pane {
                 span,
-                key,
-                values,
+                rows,
                 logical: weight,
             },
         );
@@ -447,36 +523,116 @@ impl KeyedWindows {
         self.fire(at, true)
     }
 
-    /// Release eligible panes grouped per span, in `(end, start, key)`
-    /// order — the deterministic fire sequence.
+    fn next_seq(&mut self) -> u32 {
+        let seq = self.fire_seq;
+        self.fire_seq += 1;
+        seq
+    }
+
+    /// Release eligible windows in `(end, start)` order, each window's
+    /// panes key-ascending — the deterministic fire sequence.
     fn fire(&mut self, at: SimTime, all: bool) -> Vec<FiredWindow> {
+        let mut fired = Vec::new();
+        while let Some(&(end, start)) = self.spans.keys().next() {
+            if !all && !self.closed(SimTime::from_nanos(end)) {
+                break;
+            }
+            let rows = self.spans.remove(&(end, start)).expect("first span exists");
+            let (rows, panes) = group_by_key(rows);
+            fired.push(FiredWindow {
+                seq: self.next_seq(),
+                span: WindowSpan {
+                    start: SimTime::from_nanos(start),
+                    end: SimTime::from_nanos(end),
+                },
+                fire_at: at,
+                rows,
+                panes,
+            });
+        }
+        self.fire_sessions(at, all, &mut fired);
+        fired
+    }
+
+    /// Session firing: released panes sorted by `(end, start, key)`, each
+    /// run of equal spans one window.
+    fn fire_sessions(&mut self, at: SimTime, all: bool, fired: &mut Vec<FiredWindow>) {
         let mut eligible: Vec<(u64, u64, u64)> = self
-            .open
+            .sessions
             .iter()
             .filter(|(_, pane)| all || self.closed(pane.span.end))
             .map(|(k, _)| *k)
             .collect();
         eligible.sort_by_key(|&(start, end, key)| (end, start, key));
-        let mut fired: Vec<FiredWindow> = Vec::new();
         for k in eligible {
-            let pane = self.open.remove(&k).expect("eligible pane exists");
+            let pane = self.sessions.remove(&k).expect("eligible pane exists");
+            let range = |first| PaneRange {
+                key: k.2,
+                first,
+                len: pane.rows.len(),
+                logical: pane.logical,
+            };
             match fired.last_mut() {
-                Some(fw) if fw.span == pane.span => fw.panes.push(pane),
+                Some(fw) if fw.span == pane.span => {
+                    fw.panes.push(range(fw.rows.len()));
+                    fw.rows.extend(pane.rows);
+                }
                 _ => {
-                    let seq = self.fire_seq;
-                    self.fire_seq += 1;
+                    let panes = vec![range(0)];
                     fired.push(FiredWindow {
-                        seq,
+                        seq: self.next_seq(),
                         span: pane.span,
                         fire_at: at,
-                        panes: vec![pane],
+                        rows: pane.rows,
+                        panes,
                     });
                 }
             }
         }
-        fired
+    }
+
+    /// Open panes in `(start, end, key)` order, each with its values in
+    /// insertion order — the GFSS snapshot view of the state. Built from
+    /// the span buffers on demand; ingestion never maintains it.
+    fn open_panes(&self) -> Vec<OpenPane> {
+        let pane = |start: u64, end: u64, key: u64, rows: &[Row], logical: f64| OpenPane {
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+            key,
+            logical,
+            values: rows.iter().map(|r| r.value).collect(),
+        };
+        let mut open = Vec::new();
+        // Static spans all share one size, so `(end, start)` order is
+        // `(start, end)` order.
+        for (&(end, start), rows) in &self.spans {
+            let (rows, panes) = group_by_key(rows.clone());
+            for p in &panes {
+                let pane_rows = &rows[p.first..p.first + p.len];
+                open.push(pane(start, end, p.key, pane_rows, p.logical));
+            }
+        }
+        for (&(start, end, key), p) in &self.sessions {
+            open.push(pane(start, end, key, &p.rows, p.logical));
+        }
+        open
+    }
+
+    /// The checkpointable state after `batches` merged micro-batches.
+    pub(crate) fn state(&self, batches: u64) -> StreamState {
+        StreamState {
+            batches,
+            watermark: self.watermark,
+            max_event_ts: self.max_ts.unwrap_or(SimTime::ZERO),
+            late_records: self.late_records,
+            fired: self.fire_seq as u64,
+            open: self.open_panes(),
+        }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -486,24 +642,28 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    fn spans(w: WindowAssigner, ts: SimTime) -> Vec<WindowSpan> {
+        w.assign(ts).collect()
+    }
+
     #[test]
     fn tumbling_assignment_aligns_to_epoch() {
         let w = Tumbling::of(ms(100));
         assert_eq!(
-            w.assign(ms(250)),
+            spans(w, ms(250)),
             vec![WindowSpan {
                 start: ms(200),
                 end: ms(300)
             }]
         );
-        assert_eq!(w.assign(ms(200))[0].start, ms(200));
-        assert_eq!(w.assign(SimTime::ZERO)[0].start, SimTime::ZERO);
+        assert_eq!(spans(w, ms(200))[0].start, ms(200));
+        assert_eq!(spans(w, SimTime::ZERO)[0].start, SimTime::ZERO);
     }
 
     #[test]
     fn sliding_assignment_covers_every_overlapping_window() {
         let w = Sliding::of(ms(100), ms(25));
-        let spans = w.assign(ms(130));
+        let spans = spans(w, ms(130));
         assert_eq!(spans.len(), 4);
         assert_eq!(spans[0].start, ms(50));
         assert_eq!(spans[3].start, ms(125));
@@ -511,7 +671,27 @@ mod tests {
             assert!(s.start <= ms(130) && ms(130) < s.end);
         }
         // Near the epoch only the in-range windows exist.
-        assert_eq!(w.assign(ms(10)).len(), 1);
+        assert_eq!(w.assign(ms(10)).count(), 1);
+    }
+
+    #[test]
+    fn degenerate_assigners_are_refused() {
+        for w in [
+            Tumbling::of(SimTime::ZERO),
+            Sliding::of(ms(100), SimTime::ZERO),
+            Sliding::of(ms(100), ms(101)),
+            Session::with_gap(SimTime::ZERO),
+        ] {
+            assert_eq!(w.validate(), Err(StreamError::InvalidWindow(w)));
+        }
+        for w in [
+            Tumbling::of(SimTime::from_nanos(1)),
+            Sliding::of(ms(100), ms(100)),
+            Sliding::of(ms(100), ms(30)),
+            Session::with_gap(ms(1)),
+        ] {
+            assert_eq!(w.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -525,7 +705,7 @@ mod tests {
         assert_eq!(fired.len(), 1, "watermark 110 releases [0,100)");
         assert_eq!(fired[0].span.start, SimTime::ZERO);
         assert_eq!(fired[0].panes.len(), 1);
-        assert_eq!(AggResult::fold(&fired[0].panes[0].values).sum, 3.0);
+        assert_eq!(fired[0].fold(&fired[0].panes[0]).sum, 3.0);
         assert_eq!(fired[0].logical(), 20);
         // A record for the fired window is late, not silently reopened.
         kw.insert(ms(60), 1, 9.0, 10.0);
@@ -551,7 +731,7 @@ mod tests {
         kw.insert(ms(160), 1, 4.0, 1.0);
         let fired = kw.advance(ms(160));
         assert_eq!(fired.len(), 1);
-        assert_eq!(AggResult::fold(&fired[0].panes[0].values).count, 2);
+        assert_eq!(fired[0].fold(&fired[0].panes[0]).count, 2);
     }
 
     #[test]
@@ -559,18 +739,19 @@ mod tests {
         let mut kw = KeyedWindows::new(Session::with_gap(ms(50)), SimTime::ZERO, SimTime::ZERO);
         kw.insert(ms(0), 7, 1.0, 1.0);
         kw.insert(ms(100), 7, 2.0, 1.0);
-        assert_eq!(kw.open.len(), 2, "two separate sessions");
+        assert_eq!(kw.sessions.len(), 2, "two separate sessions");
         kw.insert(ms(25), 7, 3.0, 1.0); // touches the first session only
-        assert_eq!(kw.open.len(), 2);
+        assert_eq!(kw.sessions.len(), 2);
         kw.insert(ms(60), 7, 4.0, 1.0); // bridges [0,75) and [100,150)
-        assert_eq!(kw.open.len(), 1, "bridging record merges the sessions");
-        let pane = kw.open.values().next().unwrap();
+        assert_eq!(kw.sessions.len(), 1, "bridging record merges the sessions");
+        let pane = kw.sessions.values().next().unwrap();
         assert_eq!(pane.span.start, SimTime::ZERO);
         assert_eq!(pane.span.end, ms(150));
-        assert_eq!(pane.values, vec![1.0, 3.0, 2.0, 4.0]);
+        let values: Vec<f64> = pane.rows.iter().map(|r| r.value).collect();
+        assert_eq!(values, vec![1.0, 3.0, 2.0, 4.0]);
         // A different key never merges.
         kw.insert(ms(60), 8, 9.0, 1.0);
-        assert_eq!(kw.open.len(), 2);
+        assert_eq!(kw.sessions.len(), 2);
     }
 
     #[test]
