@@ -4,20 +4,11 @@
 //! `manager.rs` so the coordinator stays the slim event-loop wiring the
 //! paper's decomposition calls for.
 //!
-//! Membership changes arrive two ways, both funneled through
-//! [`GStreamManager::on_membership`](crate::gstream::GStreamManager):
-//!
-//! * **Scripted**: a [`MembershipPlan`] installed via
-//!   [`GpuManager::set_membership_plan`] delivers joins and leaves *inside*
-//!   the drain event loop, deterministically interleaved with scripted
-//!   faults and pipeline events — the chaos-test path.
-//! * **Immediate**: [`GpuManager::join_device`] / `leave_device` apply a
-//!   change between drains (the `GpuFabric::join_node`/`leave_node` path).
-//!   Between drains the stream layer is quiescent — nothing queued, penned,
-//!   or in flight — so applying the change through the same handler with a
-//!   throwaway event queue is exact: a join's stream wake-ups are
-//!   re-created by the next drain's wake-all pass, and a leave has no
-//!   flights to evacuate.
+//! Membership changes are scripted: a [`MembershipPlan`] installed via
+//! [`GpuManager::set_membership_plan`] delivers joins and leaves *inside*
+//! the drain event loop, through
+//! [`GStreamManager::on_membership`](crate::gstream::GStreamManager),
+//! deterministically interleaved with scripted faults and pipeline events.
 //!
 //! Restore installs the snapshot's covered tags on the session;
 //! `GpuManager::submit_for` consumes one tag per matching submission so a
@@ -26,10 +17,9 @@
 //! normally.
 
 use crate::checkpoint::CacheManifestEntry;
-use crate::gstream::{Engine, Ev};
 use crate::manager::GpuManager;
 use crate::session::JobId;
-use gflink_sim::{EventQueue, MembershipKind, MembershipPlan, SimTime};
+use gflink_sim::MembershipPlan;
 
 impl GpuManager {
     /// Script membership changes (joins/leaves) against this worker.
@@ -37,40 +27,6 @@ impl GpuManager {
     /// immediately at the next drain, interleaved with scripted faults.
     pub fn set_membership_plan(&mut self, plan: MembershipPlan) {
         self.recovery.set_membership_plan(plan);
-    }
-
-    /// Apply one membership event right now (between drains) through the
-    /// same handler the scripted path uses. The stream layer is quiescent
-    /// between drains, so the throwaway event queue can only hold a join's
-    /// stream wake-ups — which the next drain's wake-all pass re-creates.
-    fn apply_membership_now(&mut self, kind: MembershipKind, at: SimTime) {
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        let mut eng = Engine {
-            gmem: &mut self.gmem,
-            recovery: &mut self.recovery,
-            sessions: &mut self.sessions,
-            registry: &self.registry,
-            rng: &mut self.rng,
-        };
-        self.gstream
-            .on_membership(&mut eng, kind, &self.cfg, at, &mut q);
-    }
-
-    /// A device joins the live worker at `at`: fresh stream bulk, fresh
-    /// GWork queue, one new cache region per open session (partitioned per
-    /// weights when cache partitioning is on). Returns the new device's
-    /// index. The next drain's Alg. 5.2 wake-ups pull backlog onto it.
-    pub fn join_device(&mut self, at: SimTime) -> usize {
-        let g = self.gmem.gpu_count();
-        self.apply_membership_now(MembershipKind::Join, at);
-        g
-    }
-
-    /// Device `gpu` gracefully leaves the live worker at `at`: its cached
-    /// blocks are invalidated and its budget returns to the survivors. Not
-    /// a fault — the ledger records a membership change (`members_left`).
-    pub fn leave_device(&mut self, gpu: usize, at: SimTime) {
-        self.apply_membership_now(MembershipKind::Leave { gpu }, at);
     }
 
     /// Open `job` (weighted) as restored from a checkpoint: install the

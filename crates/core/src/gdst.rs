@@ -20,7 +20,7 @@
 //! records and the partition's ready time advances to its last block's
 //! completion.
 
-use crate::checkpoint::{CheckpointManager, JobSnapshot, SnapshotBlock};
+use crate::checkpoint::{CheckpointManager, SnapshotBlock};
 use crate::config::CheckpointConfig;
 use crate::gwork::{CacheKey, GWork, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
@@ -32,11 +32,9 @@ use gflink_flink::graph::{PhaseKind, PhaseRecord};
 use gflink_flink::{DataSet, FlinkEnv, GpuLane, GpuWorkSample, JobReport, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelId, KernelProfile, KernelRegistry};
 use gflink_memory::{ArenaBuf, DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
-use gflink_sim::{
-    FaultLedger, MembershipPlan, Metrics, Phase, RecEvent, RecKind, SimTime, SloPolicy, Tracer,
-};
+use gflink_sim::{MembershipPlan, Metrics, Phase, SimTime, Tracer};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,7 +63,9 @@ pub enum OutMode {
     /// Up to `per_record` output records per input record; the kernel
     /// declares the valid count via `KernelProfile::with_emitted` (used by
     /// block-level combining with data-dependent cardinality, e.g. the
-    /// PageRank contribution aggregation).
+    /// PageRank contribution aggregation). A kernel that declares no count
+    /// yields no records, and a count past the output buffer's capacity is
+    /// clamped to it.
     Bounded {
         /// Maximum output records per input record.
         per_record: usize,
@@ -208,6 +208,96 @@ impl GpuMapSpec {
         }
         Ok(self)
     }
+
+    /// The GWork running this spec's kernel over `block`, with its output
+    /// sized for `out` records of `out_def` (a map passes its own
+    /// `out_mode`) and the spec's extra input, if any, as a second input.
+    pub(crate) fn work(&self, block: Block, out_def: &GStructDef, out: OutMode) -> GWork {
+        let size = out_def.size() as u64;
+        let (out_records, out_logical_bytes) = match out {
+            OutMode::PerRecord => (block.rows, block.n_logical.saturating_mul(size)),
+            OutMode::PerBlock(n) => (n, n as u64 * size),
+            OutMode::Bounded { per_record } => (
+                block.rows * per_record,
+                block
+                    .n_logical
+                    .saturating_mul(per_record as u64)
+                    .saturating_mul(size),
+            ),
+        };
+        let mut inputs = Vec::with_capacity(1 + usize::from(self.extra_input.is_some()));
+        inputs.push(block.input);
+        if let Some(extra) = &self.extra_input {
+            let data = Arc::clone(&extra.data);
+            inputs.push(match extra.cache_token {
+                Some(token) => WorkBuf::cached(
+                    data,
+                    extra.logical_bytes,
+                    CacheKey {
+                        dataset: token,
+                        partition: u32::MAX,
+                        block: 0,
+                    },
+                ),
+                None => WorkBuf::transient(data, extra.logical_bytes),
+            });
+        }
+        GWork {
+            name: block.name,
+            execute_name: Arc::clone(&self.kernel),
+            kernel: self.kernel_id,
+            ptx_path: Arc::clone(&self.ptx_path),
+            block_size: self.block_size,
+            grid_size: u32::try_from(block.n_logical)
+                .unwrap_or(u32::MAX)
+                .div_ceil(self.block_size.max(1)),
+            inputs,
+            out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_records),
+            out_logical_bytes,
+            out_records,
+            params: Arc::clone(&self.params),
+            n_actual: block.rows,
+            n_logical: block.n_logical,
+            coalescing: block.coalescing,
+            tag: block.tag,
+        }
+    }
+
+    /// The records in one completed work's output buffer of `out_def`
+    /// (= `U::def()`) rows: all of them for `PerRecord` unless the kernel
+    /// declared fewer, `n` for `PerBlock(n)`, and the declared count for
+    /// `Bounded` (none declared: none). Never past the buffer's capacity.
+    pub(crate) fn decode<'a, U: GRecord>(
+        &self,
+        out_def: &'a GStructDef,
+        output: &'a HBuffer,
+        emitted: Option<usize>,
+    ) -> impl Iterator<Item = U> + 'a {
+        let capacity = output.len() / out_def.size().max(1);
+        let rows = match self.out_mode {
+            OutMode::PerRecord => emitted.unwrap_or(capacity),
+            OutMode::PerBlock(n) => n,
+            OutMode::Bounded { .. } => emitted.unwrap_or(0),
+        };
+        let reader = RecordReader::new(output, out_def, DataLayout::Aos, capacity);
+        (0..rows.min(capacity)).map(move |i| U::load(&reader, i))
+    }
+}
+
+/// One block of input records for [`GpuMapSpec::work`].
+pub(crate) struct Block {
+    /// The work's name.
+    pub(crate) name: Arc<str>,
+    /// The block's records, laid out for the kernel.
+    pub(crate) input: WorkBuf,
+    /// Records actually held.
+    pub(crate) rows: usize,
+    /// Logical (paper-scale) records the block stands for.
+    pub(crate) n_logical: u64,
+    /// Memory-coalescing factor of the input layout.
+    pub(crate) coalescing: f64,
+    /// The work's tag, unique within the operator.
+    pub(crate) tag: (u32, u32),
 }
 
 /// Why [`GpuMapSpec::build`] rejected a spec.
@@ -369,29 +459,6 @@ impl GpuFabric {
         f(&mut self.managers.lock())
     }
 
-    /// Run `f` with the fabric's checkpoint manager locked (reporting,
-    /// tests, cadence inspection).
-    pub fn with_checkpoints<R>(&self, f: impl FnOnce(&mut CheckpointManager) -> R) -> R {
-        f(&mut self.ckpt.lock())
-    }
-
-    /// A device joins worker `worker`'s live complement at simulated
-    /// instant `at` and returns its index: fresh stream bulk, fresh GWork
-    /// queue, one new cache region per open job (partitioned per weights
-    /// when cache partitioning is on). Subsequent drains rebalance Alg.
-    /// 5.1/5.2 dispatch onto it. The ledger records `members_joined`.
-    pub fn join_node(&self, worker: usize, at: SimTime) -> usize {
-        self.managers.lock()[worker].join_device(at)
-    }
-
-    /// Device `gpu` of worker `worker` gracefully leaves the live fabric
-    /// at `at`: cached blocks are invalidated, queued and in-flight works
-    /// are evacuated onto the survivors, and the ledger records a
-    /// membership change (`members_left`) — not a fault.
-    pub fn leave_node(&self, worker: usize, gpu: usize, at: SimTime) {
-        self.managers.lock()[worker].leave_device(gpu, at);
-    }
-
     /// Script membership changes (joins/leaves) against worker `worker`,
     /// delivered inside its drain event loop deterministically interleaved
     /// with scripted faults.
@@ -519,11 +586,6 @@ impl GflinkEnv {
         &self.fabric
     }
 
-    /// The RAII handle of this job on the fabric.
-    pub fn job_handle(&self) -> &Arc<JobHandle> {
-        &self.handle
-    }
-
     /// This job's identity on the GPU fabric.
     pub fn job_id(&self) -> JobId {
         self.handle.id()
@@ -554,73 +616,47 @@ impl GflinkEnv {
         let job = self.handle.id();
         let trace_dropped = self.fabric.tracer().dropped();
         self.fabric.with_managers(|managers| {
-            let mut steals = 0u64;
-            let mut batches = 0u64;
-            let mut batched_works = 0u64;
-            let mut alpha_saved = SimTime::ZERO;
+            // Session batch-size summaries merge among themselves first,
+            // then into the rollup: one fixed order for the float sums.
             let mut batch_size = gflink_sim::Summary::default();
-            let mut pinned = gflink_memory::PinnedStats::default();
-            let mut parked_works = 0u64;
-            let mut park_delay = SimTime::ZERO;
-            let mut pen_hist = gflink_sim::LogHistogram::new();
-            let mut hybrid_gpu = 0u64;
-            let mut hybrid_cpu = 0u64;
-            let mut hybrid_splits = 0u64;
-            let mut hybrid_err = gflink_sim::LogHistogram::new();
-            for m in managers.iter() {
-                if let Some(s) = m.session(job) {
-                    steals += s.steals();
-                    batches += s.batches();
-                    batched_works += s.batched_works();
-                    alpha_saved += s.alpha_saved();
-                    batch_size.merge(s.batch_sizes());
-                    parked_works += s.parked_works();
-                    park_delay += s.park_delay();
-                    pen_hist.merge(s.pen_histogram());
-                    hybrid_gpu += s.hybrid_gpu();
-                    hybrid_cpu += s.hybrid_cpu();
-                    hybrid_splits += s.hybrid_splits();
-                    hybrid_err.merge(s.hybrid_err());
-                }
-                let p = m.job_pinned_stats(job);
-                pinned.hits += p.hits;
-                pinned.misses += p.misses;
-                pinned.bytes += p.bytes;
-            }
-            let mut lanes = Vec::new();
-            for m in managers.iter() {
-                for g in 0..m.gpu_count() {
-                    let gpu = m.gpu(g);
-                    lanes.push(GpuLane {
-                        worker: m.worker_id(),
-                        gpu: g,
-                        works: m.executed_per_gpu()[g],
-                        kernel_busy: gpu.kernel_busy(),
-                        copy_busy: gpu.copy_busy(),
-                        utilization: gpu.kernel_utilization(window),
-                    });
-                }
-            }
+            let pen = crate::driver::pen_stats(managers, job);
             self.flink.with_gpu_rollup(|r| {
-                r.steals += steals;
-                r.pinned_hits += pinned.hits;
-                r.pinned_misses += pinned.misses;
-                r.pinned_bytes += pinned.bytes;
-                r.batches += batches;
-                r.batched_works += batched_works;
-                r.alpha_saved += alpha_saved;
+                for m in managers.iter() {
+                    if let Some(s) = m.session(job) {
+                        r.steals += s.steals;
+                        r.batches += s.batches;
+                        r.batched_works += s.batched_works;
+                        r.alpha_saved += s.alpha_saved;
+                        batch_size.merge(&s.batch_sizes);
+                        r.hybrid_gpu += s.hybrid_gpu;
+                        r.hybrid_cpu += s.hybrid_cpu;
+                        r.hybrid_splits += s.hybrid_splits;
+                        r.hybrid_err.merge(&s.hybrid_err);
+                    }
+                    let p = m.job_pinned_stats(job);
+                    r.pinned_hits += p.hits;
+                    r.pinned_misses += p.misses;
+                    r.pinned_bytes += p.bytes;
+                }
                 r.batch_size.merge(&batch_size);
                 r.weight = self.handle.weight();
-                r.parked_works += parked_works;
-                r.park_delay += park_delay;
-                r.slo.pen.merge(&pen_hist);
-                r.hybrid_gpu += hybrid_gpu;
-                r.hybrid_cpu += hybrid_cpu;
-                r.hybrid_splits += hybrid_splits;
-                r.hybrid_err.merge(&hybrid_err);
+                r.parked_works += pen.parked_works;
+                r.park_delay += pen.park_delay;
+                r.slo.pen.merge(&pen.hist);
                 r.trace_dropped = trace_dropped;
                 if r.lanes.is_empty() && !r.is_empty() {
-                    r.lanes = lanes;
+                    r.lanes = managers
+                        .iter()
+                        .flat_map(|m| (0..m.gpu_count()).map(move |g| (m, g)))
+                        .map(|(m, g)| GpuLane {
+                            worker: m.worker_id(),
+                            gpu: g,
+                            works: m.executed_per_gpu()[g],
+                            kernel_busy: m.gpu(g).kernel_busy(),
+                            copy_busy: m.gpu(g).copy_busy(),
+                            utilization: m.gpu(g).kernel_utilization(window),
+                        })
+                        .collect();
                 }
             });
         });
@@ -743,11 +779,6 @@ impl<T: GRecord> GDataSet<T> {
         self.ds
     }
 
-    /// The dataset's stable identity (GPU cache key scope).
-    pub fn dataset_id(&self) -> u64 {
-        self.id
-    }
-
     /// The input data layout.
     pub fn layout(&self) -> DataLayout {
         self.layout
@@ -770,10 +801,11 @@ impl<T: GRecord> GDataSet<T> {
         let def = T::def();
         let out_def = U::def();
         let flink = &self.env.flink;
+        let handle = &self.env.handle;
         let fabric_cfg = Arc::clone(&self.env.fabric.cfg);
         let sched = flink.schedule_phase();
         let cluster = flink.cluster();
-        let job = self.env.handle.id();
+        let job = handle.id();
         let scale = self.ds.scale();
         let coalescing = self.layout.coalescing_all_fields(&def);
 
@@ -781,45 +813,12 @@ impl<T: GRecord> GDataSet<T> {
         let mut last_submit = SimTime::ZERO;
         let mut elements = 0u64;
 
-        // Checkpoint/restore (DESIGN.md §13). Each operator invocation of
-        // this job owns one snapshot file, keyed by the *job name* and a
-        // per-job invocation counter so a relaunched driver re-running the
-        // same operator sequence finds its predecessor's snapshots. A
-        // found snapshot installs its covered tags on every worker: the
-        // producer below still submits all blocks, but covered ones are
-        // satisfied from the snapshot (`works_restored`) instead of
-        // executing — only the delta since the snapshot replays.
-        let ckpt_on = self.env.fabric.ckpt.lock().enabled();
-        let jname = flink.name();
-        let seq = if ckpt_on {
-            self.env.fabric.ckpt.lock().next_seq(job.0)
-        } else {
-            0
-        };
-        let restored = if ckpt_on {
-            let now = flink.frontier();
-            let mut cl = cluster.lock();
-            // A corrupt snapshot (CRC or length mismatch) is refused here
-            // — the run falls back to executing from zero, never silently
-            // replaying bad bytes.
-            self.env
-                .fabric
-                .ckpt
-                .lock()
-                .read(&mut cl.hdfs, 0, &jname, seq, now)
-                .unwrap_or(None)
-        } else {
-            None
-        };
-        if let Some(rs) = &restored {
-            let tags = rs.snapshot.covered_tags();
-            let weight = self.env.handle.weight();
-            self.env.fabric.with_managers(|managers| {
-                for m in managers.iter_mut() {
-                    m.restore_job(job, weight, &tags);
-                }
-            });
-        }
+        // Checkpoint/restore (DESIGN.md §13): each operator invocation of
+        // this job owns one snapshot file under the job's name. Blocks the
+        // restored snapshot covers are still submitted below, but are
+        // satisfied from it (`works_restored`) instead of executing — only
+        // the delta since the snapshot replays.
+        let restore = handle.restore(Some(&cluster), &flink.name(), flink.frontier(), |_| true);
 
         // Producer side: each partition's pinned slot assembles one GWork
         // per block and submits it to the worker's GpuManager. The
@@ -870,224 +869,76 @@ impl<T: GRecord> GDataSet<T> {
                         block: b as u32,
                     };
                     let data = Arc::new(buf);
-                    let mut inputs = vec![if spec.cache_input {
+                    let input = if spec.cache_input {
                         WorkBuf::cached(data, block_logical_bytes, key)
                     } else {
                         WorkBuf::transient(data, block_logical_bytes)
-                    }];
-                    if let Some(extra) = &spec.extra_input {
-                        inputs.push(match extra.cache_token {
-                            Some(token) => WorkBuf::cached(
-                                Arc::clone(&extra.data),
-                                extra.logical_bytes,
-                                CacheKey {
-                                    dataset: token,
-                                    partition: u32::MAX,
-                                    block: 0,
-                                },
-                            ),
-                            None => {
-                                WorkBuf::transient(Arc::clone(&extra.data), extra.logical_bytes)
-                            }
-                        });
-                    }
-                    let out_rows = match spec.out_mode {
-                        OutMode::PerRecord => rows,
-                        OutMode::PerBlock(n) => n,
-                        OutMode::Bounded { per_record } => rows * per_record,
                     };
-                    let out_actual_bytes =
-                        RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows);
-                    let out_logical_bytes = match spec.out_mode {
-                        OutMode::PerRecord => {
-                            (block_logical_elems as f64 * out_def.size() as f64) as u64
-                        }
-                        OutMode::PerBlock(n) => (n * out_def.size()) as u64,
-                        OutMode::Bounded { per_record } => {
-                            (block_logical_elems as f64 * per_record as f64 * out_def.size() as f64)
-                                as u64
-                        }
-                    };
-                    let work = GWork {
+                    let block = Block {
                         name: Arc::clone(&op_name),
-                        execute_name: Arc::clone(&spec.kernel),
-                        kernel: spec.kernel_id,
-                        ptx_path: Arc::clone(&spec.ptx_path),
-                        block_size: spec.block_size,
-                        grid_size: (block_logical_elems as u32).div_ceil(spec.block_size.max(1)),
-                        inputs,
-                        out_actual_bytes,
-                        out_logical_bytes,
-                        out_records: out_rows,
-                        params: Arc::clone(&spec.params),
-                        n_actual: rows,
+                        input,
+                        rows,
                         n_logical: block_logical_elems,
                         coalescing,
                         tag: (p as u32, b as u32),
                     };
+                    let work = spec.work(block, &out_def, spec.out_mode);
                     managers[part.worker].submit_for(job, work, r.end);
                     last_submit = last_submit.max(r.end);
                 }
             }
         });
 
-        // Concurrency barrier: under a job gate (concurrent tenants driven
-        // by `run_concurrent`-style harnesses), wait here until every
-        // co-tenant at or behind this frontier has also submitted, so the
-        // shared drain event loop below sees all jobs' works and cross-job
-        // arbitration has a real choice. A solo run passes straight
-        // through. No locks are held across this wait.
-        gflink_flink::gate::checkpoint(last_submit);
-
-        // Observability pre-capture. Lock order: the fabric's bookkeeping
-        // locks (metrics, observer policy, live jobs, checkpoint cursors)
-        // are copied out *before* the managers are held, matching the
-        // admission path's live-jobs-then-managers order.
-        let metrics = self.env.fabric.metrics.lock().clone();
-        let (slo, snap_live, snap_ticks) = if metrics.enabled() {
-            let slo = self.env.fabric.observer.lock().slo;
-            let live: Vec<u64> = self
-                .env
-                .fabric
-                .live_jobs
-                .lock()
-                .iter()
-                .map(|j| j.0)
-                .collect();
-            let ticks: BTreeMap<u64, SimTime> = {
-                let ck = self.env.fabric.ckpt.lock();
-                live.iter()
-                    .filter_map(|&j| ck.last_tick(j).map(|t| (j, t)))
-                    .collect()
-            };
-            (slo, live, ticks)
-        } else {
-            (SloPolicy::default(), Vec::new(), BTreeMap::new())
-        };
-
         // Consumer side: drain every worker's GpuManager.
         #[allow(clippy::type_complexity)]
         let mut per_part_blocks: Vec<Vec<(u32, ArenaBuf, Option<usize>, SimTime)>> =
             (0..self.ds.num_partitions()).map(|_| Vec::new()).collect();
+        let mut executed: Vec<SnapshotBlock> = Vec::new();
         let mut kernel_sum = SimTime::ZERO;
         let mut h2d_sum = SimTime::ZERO;
         let mut d2h_sum = SimTime::ZERO;
-        let mut wall_end = SimTime::ZERO;
-        // Earliest permanent failure this op suffered: the simulated crash
-        // instant bounding how late the checkpointer could still run.
-        let mut crashed_at: Option<SimTime> = None;
-        let mut slo_breaches = 0u64;
-        let mut fault_delta = FaultLedger::default();
-        self.env.fabric.with_managers(|managers| {
-            for m in managers.iter_mut() {
-                for done in m.drain_job(job) {
-                    kernel_sum += done.timing.kernel;
-                    h2d_sum += done.timing.h2d;
-                    d2h_sum += done.timing.d2h;
-                    wall_end = wall_end.max(done.timing.completed);
-                    // One observability sample per completed work: the
-                    // job report's stage histograms, cache hit rate and
-                    // per-channel byte counts aggregate these.
-                    flink.record_gpu_work(GpuWorkSample {
-                        worker: m.worker_id(),
-                        gpu: (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu),
-                        queued: done.timing.queued(),
-                        h2d: done.timing.h2d,
-                        kernel: done.timing.kernel,
-                        d2h: done.timing.d2h,
-                        total: done.timing.total(),
-                        cache_hits: done.timing.cache_hits,
-                        cache_misses: done.timing.cache_misses,
-                        bytes_h2d: done.timing.bytes_h2d,
-                        bytes_d2h: done.timing.bytes_d2h,
-                    });
-                    if metrics.enabled() && slo.breached(done.timing.total()) {
-                        slo_breaches += 1;
-                        let mut ev = RecEvent::new(
-                            done.timing.completed,
-                            RecKind::SloBreach,
-                            m.worker_id() as u32,
-                        )
-                        .with_detail(done.timing.total().as_nanos());
-                        if done.gpu != CPU_FALLBACK_GPU {
-                            ev = ev.on_gpu(done.gpu);
-                        }
-                        m.record_job_event(job, ev);
-                    }
-                    per_part_blocks[done.tag.0 as usize].push((
-                        done.tag.1,
-                        done.output,
-                        done.emitted,
-                        done.timing.completed,
-                    ));
-                }
-                // Failure accounting: this drain's fault/recovery delta for
-                // THIS job (the session ledger window, not the cluster-wide
-                // ledger) goes on the job report. Permanently failed works
-                // (retry exhaustion) also count failure instants toward the
-                // phase's wall clock so a faulted job's makespan stays
-                // honest.
-                let delta = m.take_job_fault_delta(job);
-                fault_delta = fault_delta.merge(&delta);
-                flink.record_faults(delta);
-                for failed in m.take_job_failed(job) {
-                    wall_end = wall_end.max(failed.failed_at);
-                    crashed_at = Some(match crashed_at {
-                        Some(c) => c.min(failed.failed_at),
-                        None => failed.failed_at,
-                    });
-                }
+        let drained = handle.drain(last_submit, |worker, done| {
+            kernel_sum += done.timing.kernel;
+            h2d_sum += done.timing.h2d;
+            d2h_sum += done.timing.d2h;
+            // One observability sample per completed work: the job
+            // report's stage histograms, cache hit rate and per-channel
+            // byte counts aggregate these.
+            flink.record_gpu_work(GpuWorkSample {
+                worker,
+                gpu: (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu),
+                queued: done.timing.queued(),
+                h2d: done.timing.h2d,
+                kernel: done.timing.kernel,
+                d2h: done.timing.d2h,
+                total: done.timing.total(),
+                cache_hits: done.timing.cache_hits,
+                cache_misses: done.timing.cache_misses,
+                bytes_h2d: done.timing.bytes_h2d,
+                bytes_d2h: done.timing.bytes_d2h,
+            });
+            if restore.enabled() {
+                executed.push(SnapshotBlock {
+                    tag: done.tag,
+                    emitted: done.emitted,
+                    completed_at: done.timing.completed,
+                    payload: done.output.as_slice().to_vec(),
+                });
             }
-            // Flight-recorder postmortems: a non-quiet fault delta or an
-            // SLO breach dumps the job's recent structured events plus a
-            // health snapshot built over the managers already held (the
-            // observer mutex is a leaf lock — it never takes another).
-            if metrics.enabled() && (!fault_delta.is_quiet() || slo_breaches > 0) {
-                let mut events: Vec<RecEvent> = Vec::new();
-                for m in managers.iter() {
-                    if let Some(s) = m.session(job) {
-                        events.extend(s.flight_events());
-                    }
-                }
-                events.sort_by_key(|e| (e.at, e.worker));
-                let snap = crate::observe::build_cluster_snapshot(
-                    wall_end,
-                    &snap_live,
-                    &snap_ticks,
-                    ckpt_on,
-                    managers,
-                );
-                let snap_json = snap.to_json();
-                let mut obs = self.env.fabric.observer.lock();
-                if !fault_delta.is_quiet() {
-                    obs.dump(
-                        job.0,
-                        "fault-ledger",
-                        wall_end,
-                        fault_delta,
-                        events.clone(),
-                        snap_json.clone(),
-                    );
-                }
-                if slo_breaches > 0 {
-                    obs.dump(
-                        job.0,
-                        "slo-breach",
-                        wall_end,
-                        fault_delta,
-                        events,
-                        snap_json,
-                    );
-                }
-            }
+            per_part_blocks[done.tag.0 as usize].push((
+                done.tag.1,
+                done.output,
+                done.emitted,
+                done.timing.completed,
+            ));
         });
+        flink.record_faults(drained.faults);
+        let mut wall_end = drained.wall_end;
         // Blocks covered by the restored snapshot re-enter the result set
         // here, ready when the restore read landed — they were never
         // (re)executed, which is the point.
-        let mut restored_works = 0u64;
-        if let Some(rs) = &restored {
+        if let Some(rs) = &restore.snapshot {
             for blk in &rs.snapshot.blocks {
-                restored_works += 1;
                 wall_end = wall_end.max(rs.ready_at);
                 per_part_blocks[blk.tag.0 as usize].push((
                     blk.tag.1,
@@ -1097,108 +948,23 @@ impl<T: GRecord> GDataSet<T> {
                 ));
             }
         }
-        // Periodic snapshots of this op's progress. Ticks run on the
-        // job-global cadence; when the op lost works permanently, the
-        // cadence is bounded by the crash instant (the checkpointer dies
-        // with the node), so what survives for the next attempt is exactly
-        // the work completed up to the last pre-crash tick. A failure-free
-        // op writes one final full snapshot at its wall end.
-        let mut checkpoints = 0u64;
-        let mut checkpoint_bytes = 0u64;
-        if ckpt_on {
-            let mut done: Vec<SnapshotBlock> = Vec::new();
-            for (p, blocks) in per_part_blocks.iter().enumerate() {
-                for (b, buf, emitted, completed) in blocks.iter() {
-                    done.push(SnapshotBlock {
-                        tag: (p as u32, *b),
-                        emitted: *emitted,
-                        completed_at: *completed,
-                        payload: buf.as_slice().to_vec(),
-                    });
-                }
-            }
-            done.sort_by_key(|blk| (blk.completed_at, blk.tag));
-            let cache = self.env.fabric.with_managers(|managers| {
-                let mut c = Vec::new();
-                for m in managers.iter() {
-                    c.extend(m.cache_manifest(job));
-                }
-                c
-            });
-            let mut cl = cluster.lock();
-            let mut ck = self.env.fabric.ckpt.lock();
-            ck.seed(job.0, wall_start.min(wall_end));
-            let horizon = crashed_at.unwrap_or(wall_end);
-            let mut ticks = ck.due_ticks(job.0, horizon);
-            if crashed_at.is_none() {
-                ticks.push(wall_end);
-            }
-            for tick in ticks {
-                let upto = done.partition_point(|blk| blk.completed_at <= tick);
-                let snap = JobSnapshot {
-                    job: job.0,
-                    seq,
-                    frontier: tick,
-                    state: Vec::new(),
-                    blocks: done[..upto].to_vec(),
-                    cache: cache.clone(),
-                };
-                if let Ok(tok) = ck.write(&mut cl.hdfs, 0, &jname, &snap, tick) {
-                    checkpoints += 1;
-                    checkpoint_bytes += tok.bytes;
-                }
-            }
-        }
-        if ckpt_on {
+        let (checkpoints, checkpoint_bytes) = handle.write_snapshots(
+            &restore,
+            executed,
+            wall_start,
+            wall_end,
+            drained.crashed_at,
+            |ticks| vec![Vec::new(); ticks.len()],
+        );
+        if restore.enabled() {
             flink.with_gpu_rollup(|r| {
                 r.checkpoints += checkpoints;
                 r.checkpoint_bytes += checkpoint_bytes;
-                if let Some(rs) = &restored {
+                if let Some(rs) = &restore.snapshot {
                     r.restores += 1;
-                    r.works_restored += restored_works;
+                    r.works_restored += rs.snapshot.blocks.len() as u64;
                     r.recovery_delta
                         .add_time(wall_end.saturating_sub(rs.ready_at));
-                }
-            });
-        }
-        // Checkpoint/restore on the metrics plane: lifetime counters plus
-        // flight-recorder entries on every worker's ring (a restore or a
-        // snapshot write is job-scoped, not device-scoped).
-        if metrics.enabled() && ckpt_on {
-            metrics
-                .counter("gflink_checkpoints_total", "Durable job snapshots written")
-                .add(checkpoints);
-            metrics
-                .counter(
-                    "gflink_checkpoint_bytes_total",
-                    "Bytes written to durable snapshots",
-                )
-                .add(checkpoint_bytes);
-            if restored.is_some() {
-                metrics
-                    .counter(
-                        "gflink_restores_total",
-                        "Jobs restored from a durable snapshot",
-                    )
-                    .inc();
-            }
-            self.env.fabric.with_managers(|managers| {
-                for m in managers.iter_mut() {
-                    let w = m.worker_id() as u32;
-                    if checkpoints > 0 {
-                        m.record_job_event(
-                            job,
-                            RecEvent::new(wall_end, RecKind::CheckpointWritten, w)
-                                .with_detail(checkpoints),
-                        );
-                    }
-                    if let Some(rs) = &restored {
-                        m.record_job_event(
-                            job,
-                            RecEvent::new(rs.ready_at, RecKind::SnapshotRestored, w)
-                                .with_detail(restored_works),
-                        );
-                    }
                 }
             });
         }
@@ -1210,18 +976,7 @@ impl<T: GRecord> GDataSet<T> {
             let mut data: Vec<U> = Vec::new();
             let mut ready = part.ready;
             for (_, out_buf, emitted, completed) in blocks.iter() {
-                let capacity = out_buf.len() / out_def.size().max(1);
-                let out_rows = match spec.out_mode {
-                    OutMode::PerRecord => emitted.unwrap_or(capacity),
-                    OutMode::PerBlock(n) => n,
-                    OutMode::Bounded { .. } => {
-                        emitted.expect("Bounded output mode requires with_emitted")
-                    }
-                };
-                let reader = RecordReader::new(out_buf, &out_def, DataLayout::Aos, capacity);
-                for i in 0..out_rows {
-                    data.push(U::load(&reader, i));
-                }
+                data.extend(spec.decode::<U>(&out_def, out_buf, *emitted));
                 ready = ready.max(*completed);
             }
             new_parts.push(RawPart {
@@ -1487,6 +1242,46 @@ mod tests {
         assert_eq!(got.len(), 2);
         let total: f32 = got.iter().map(|p| p.x).sum();
         assert_eq!(total, 10.0);
+    }
+
+    /// Run `kernel` over 16 points in one block under `mode`.
+    fn map_16_points(kernel: &str, mode: OutMode) -> Vec<Point> {
+        let (cluster, fabric) = setup(1);
+        fabric.register_kernel("overReport", |args: &mut KernelArgs<'_, '_>| {
+            add_point_kernel(args).with_emitted(args.n_actual + 5)
+        });
+        fabric.register_kernel("noCount", |args: &mut KernelArgs<'_, '_>| {
+            add_point_kernel(args)
+        });
+        let env = GflinkEnv::submit(&cluster, &fabric, "decode", SimTime::ZERO);
+        let pts: Vec<Point> = (0..16)
+            .map(|i| Point {
+                x: i as f32,
+                y: 0.0,
+            })
+            .collect();
+        let ds = env.flink.parallelize("pts", pts, 1, 1.0);
+        let spec = GpuMapSpec::new(kernel)
+            .with_params(vec![1.0, 1.0])
+            .with_out_mode(mode);
+        let out = env
+            .to_gdst(ds, DataLayout::Aos)
+            .gpu_map_partition("decode", &spec);
+        out.inner().collect("get", 8.0)
+    }
+
+    #[test]
+    fn over_reported_emitted_count_is_clamped_to_capacity() {
+        let got = map_16_points("overReport", OutMode::PerRecord);
+        assert_eq!(got.len(), 16, "21 declared rows clamp to the 16 that fit");
+        assert_eq!(got[15], Point { x: 16.0, y: 1.0 });
+        let got = map_16_points("overReport", OutMode::Bounded { per_record: 1 });
+        assert_eq!(got.len(), 16);
+    }
+
+    #[test]
+    fn bounded_kernel_without_a_count_yields_no_records() {
+        assert!(map_16_points("noCount", OutMode::Bounded { per_record: 1 }).is_empty());
     }
 
     #[test]

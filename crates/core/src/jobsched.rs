@@ -353,7 +353,7 @@ impl JobScheduler {
 /// every worker, releasing exactly its cache regions and ledgers.
 #[must_use = "dropping a JobHandle closes the job immediately; bind it for the job's lifetime"]
 pub struct JobHandle {
-    fabric: GpuFabric,
+    pub(crate) fabric: GpuFabric,
     job: JobId,
     weight: u32,
     closed: AtomicBool,

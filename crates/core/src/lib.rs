@@ -31,6 +31,7 @@ pub mod checkpoint;
 pub mod commpath;
 pub mod config;
 pub(crate) mod costmodel;
+mod driver;
 mod elastic;
 pub mod fused;
 pub mod gdst;

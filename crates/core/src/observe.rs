@@ -61,16 +61,22 @@ fn device_state(h: DeviceHealth) -> DeviceState {
     }
 }
 
+/// What a health view needs from the fabric's bookkeeping locks, copied
+/// out before the managers are locked: the live jobs, their checkpoint
+/// cadence cursors, and whether checkpointing is on.
+#[derive(Default)]
+pub(crate) struct HealthInputs {
+    live_jobs: Vec<u64>,
+    last_ticks: BTreeMap<u64, SimTime>,
+    ckpt_on: bool,
+}
+
 /// Build the health view over already-locked managers. Free function so
 /// both [`GpuFabric::cluster_snapshot`] and the in-drain postmortem path
-/// (which already holds the manager lock) share one builder. Checkpoint
-/// lag is precomputed by the caller (`last_ticks`) so no checkpoint lock
-/// is taken while the managers are held.
+/// (which already holds the manager lock) share one builder.
 pub(crate) fn build_cluster_snapshot(
     at: SimTime,
-    live_jobs: &[u64],
-    last_ticks: &BTreeMap<u64, SimTime>,
-    ckpt_on: bool,
+    inputs: &HealthInputs,
     managers: &[GpuManager],
 ) -> ClusterSnapshot {
     let mut workers = Vec::with_capacity(managers.len());
@@ -79,7 +85,7 @@ pub(crate) fn build_cluster_snapshot(
         for g in 0..m.gpu_count() {
             let gpu = m.gpu(g);
             let (mut used, mut budget) = (0u64, 0u64);
-            for &job in live_jobs {
+            for &job in &inputs.live_jobs {
                 if let Some(s) = m.session(JobId(job)) {
                     if let Some(region) = s.regions.get(g) {
                         used += region.used();
@@ -102,15 +108,15 @@ pub(crate) fn build_cluster_snapshot(
             });
         }
         let mut jobs = Vec::new();
-        for &job in live_jobs {
+        for &job in &inputs.live_jobs {
             if let Some(s) = m.session(JobId(job)) {
                 jobs.push(JobHealth {
                     job,
                     weight: s.weight(),
                     pen_depth: m.gstream.sched.pen_depth(JobId(job)),
                     queued_bytes: m.gstream.sched.queued_bytes_of(JobId(job)),
-                    checkpoint_lag: if ckpt_on {
-                        last_ticks.get(&job).map(|&t| at.saturating_sub(t))
+                    checkpoint_lag: if inputs.ckpt_on {
+                        inputs.last_ticks.get(&job).map(|&t| at.saturating_sub(t))
                     } else {
                         None
                     },
@@ -128,7 +134,7 @@ pub(crate) fn build_cluster_snapshot(
     }
     ClusterSnapshot {
         at,
-        live_jobs: live_jobs.to_vec(),
+        live_jobs: inputs.live_jobs.clone(),
         workers,
     }
 }
@@ -238,18 +244,24 @@ impl GpuFabric {
     }
 
     /// A point-in-time health view of the whole fabric at simulated
-    /// instant `at`. Lock order matters: live jobs and checkpoint cursors
-    /// are copied out first, then the managers are locked once.
+    /// instant `at`.
     pub fn cluster_snapshot(&self, at: SimTime) -> ClusterSnapshot {
-        let live: Vec<u64> = self.live_jobs.lock().iter().map(|j| j.0).collect();
-        let (ckpt_on, last_ticks) = {
-            let ck = self.ckpt.lock();
-            let ticks = live
+        let inputs = self.health_inputs();
+        self.with_managers(|ms| build_cluster_snapshot(at, &inputs, ms))
+    }
+
+    /// Copy out the health view's inputs. Lock order matters: live jobs,
+    /// then checkpoint cursors; the managers are locked only afterwards.
+    pub(crate) fn health_inputs(&self) -> HealthInputs {
+        let live_jobs: Vec<u64> = self.live_jobs.lock().iter().map(|j| j.0).collect();
+        let ck = self.ckpt.lock();
+        HealthInputs {
+            last_ticks: live_jobs
                 .iter()
                 .filter_map(|&j| ck.last_tick(j).map(|t| (j, t)))
-                .collect();
-            (ck.enabled(), ticks)
-        };
-        self.with_managers(|ms| build_cluster_snapshot(at, &live, &last_ticks, ckpt_on, ms))
+                .collect(),
+            live_jobs,
+            ckpt_on: ck.enabled(),
+        }
     }
 }

@@ -114,16 +114,6 @@ impl JobSession {
         self.recorder.events()
     }
 
-    /// Pen-delay histogram over this job's released penned works.
-    pub fn pen_histogram(&self) -> &LogHistogram {
-        &self.pen_hist
-    }
-
-    /// Works the hybrid cost model placed on a GPU.
-    pub fn hybrid_gpu(&self) -> u64 {
-        self.hybrid_gpu
-    }
-
     /// Works the hybrid cost model placed on the host CPU pool by choice.
     pub fn hybrid_cpu(&self) -> u64 {
         self.hybrid_cpu
@@ -158,31 +148,6 @@ impl JobSession {
     /// Total simulated time this job's works sat penned before release.
     pub fn park_delay(&self) -> SimTime {
         self.park_delay
-    }
-
-    /// Alg. 5.2 steals that served this job's works.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Fused transfer batches that carried this job's works.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Works that travelled inside fused batches.
-    pub fn batched_works(&self) -> u64 {
-        self.batched_works
-    }
-
-    /// Per-call transfer overhead (α) saved by fusing this job's copies.
-    pub fn alpha_saved(&self) -> SimTime {
-        self.alpha_saved
-    }
-
-    /// Distribution of fused batch sizes (works per batch).
-    pub fn batch_sizes(&self) -> &Summary {
-        &self.batch_sizes
     }
 
     /// The job's cache region on device `gpu`.

@@ -30,15 +30,16 @@ use super::window::{
     output_digest, AggResult, AggSpec, FiredWindow, KeyedWindows, WindowAssigner, WindowOutput,
 };
 use super::{LostBatch, StreamError, StreamReport};
-use crate::checkpoint::{JobSnapshot, SnapshotBlock, StreamState};
-use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
+use crate::checkpoint::{SnapshotBlock, StreamState};
+use crate::driver::Drained;
+use crate::gdst::{Block, GRecord, GpuFabric, GpuMapSpec, OutMode};
 use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
-use gflink_sim::{LogHistogram, SimTime, Summary};
+use gflink_sim::SimTime;
 use std::marker::PhantomData;
 use std::sync::{Arc, LazyLock};
 
@@ -508,21 +509,16 @@ impl<'a, T> WindowPipeline<'a, T> {
         let mut slot_free = vec![SimTime::ZERO; slots];
         let cost = OpCost::new(self.agg.flops_per_record, self.agg.bytes_per_record);
         let mut outputs = Vec::new();
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
-        let mut finished = SimTime::ZERO;
+        let mut report = StreamReport {
+            late_records: ing.late,
+            ..StreamReport::empty()
+        };
         for fw in &ing.fired {
             let dur = cpu.time_for(&cost, fw.logical() as f64);
             let slot = &mut slot_free[fw.seq as usize % slots];
-            let start = fw.fire_at.max(*slot);
-            let end = start + dur;
+            let end = fw.fire_at.max(*slot) + dur;
             *slot = end;
-            let lat = end.saturating_sub(fw.fire_at);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
-            finished = finished.max(end);
+            let lat = report.complete(fw.fire_at, end);
             for pane in &fw.panes {
                 outputs.push(WindowOutput {
                     span: fw.span,
@@ -536,15 +532,7 @@ impl<'a, T> WindowPipeline<'a, T> {
         }
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
-            report: StreamReport {
-                batches: ing.fired.len(),
-                latency,
-                latency_hist: hist,
-                last_latency,
-                finished_at: finished,
-                late_records: ing.late,
-                ..StreamReport::empty()
-            },
+            report,
             windows: outputs,
             watermarks: ing.stamps,
             windows_restored: 0,
@@ -554,9 +542,9 @@ impl<'a, T> WindowPipeline<'a, T> {
 
     /// Build the `GWork` for one fired window: its key-sorted rows packed
     /// as they lie — panes key-ascending, values in insertion order, the
-    /// order the kernel folds in.
+    /// order the kernel folds in — and one output row per pane.
     fn window_work(fw: &FiredWindow, spec: &GpuMapSpec, workers: usize) -> GWork {
-        let (pair, out_def) = (&*PAIR_DEF, &*KEYAGG_DEF);
+        let pair = &*PAIR_DEF;
         let rows = fw.rows();
         let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
@@ -567,29 +555,15 @@ impl<'a, T> WindowPipeline<'a, T> {
             }
         }
         let logical = fw.logical().max(1);
-        let out_rows = fw.panes.len();
-        GWork {
+        let block = Block {
             name: format!("stream-window-{}", fw.seq).into(),
-            execute_name: Arc::clone(&spec.kernel),
-            kernel: spec.kernel_id,
-            ptx_path: Arc::clone(&spec.ptx_path),
-            block_size: spec.block_size,
-            grid_size: u32::try_from(logical)
-                .unwrap_or(u32::MAX)
-                .div_ceil(spec.block_size.max(1)),
-            inputs: vec![WorkBuf::transient(
-                Arc::new(buf),
-                logical * pair.size() as u64,
-            )],
-            out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
-            out_logical_bytes: (out_rows * out_def.size()) as u64,
-            out_records: out_rows,
-            params: Arc::clone(&spec.params),
-            n_actual: rows,
+            input: WorkBuf::transient(Arc::new(buf), logical * pair.size() as u64),
+            rows,
             n_logical: logical,
             coalescing: 1.0,
             tag: ((fw.seq as usize % workers) as u32, fw.seq),
-        }
+        };
+        spec.work(block, &KEYAGG_DEF, OutMode::PerBlock(fw.panes.len()))
     }
 
     fn run_gpu(&self) -> Result<WindowedRun, StreamError> {
@@ -602,42 +576,14 @@ impl<'a, T> WindowPipeline<'a, T> {
             .build(fabric)?;
         let workers = fabric.with_managers(|ms| ms.len()).max(1);
         let job = fabric.open_job_weighted(self.env.weight)?;
-        let jid = job.id();
 
-        // --- restore: replay-validated snapshot coverage -----------------
-        let ckpt_on = cluster.is_some() && fabric.with_checkpoints(|c| c.enabled());
-        let seq = if ckpt_on {
-            fabric.with_checkpoints(|c| c.next_seq(jid.0))
-        } else {
-            0
-        };
-        let restored = if let (true, Some(cl)) = (ckpt_on, cluster) {
-            let rs = {
-                let mut cl = cl.lock();
-                fabric
-                    .with_checkpoints(|c| {
-                        c.read(&mut cl.hdfs, 0, &self.env.name, seq, SimTime::ZERO)
-                    })
-                    .unwrap_or(None)
-            };
-            // The snapshot's keyed state must equal the state replay
-            // reconstructs at its frontier; divergence refuses the
-            // snapshot (replay-from-zero) rather than resuming wrong.
-            rs.filter(|rs| {
-                StreamState::decode(&rs.snapshot.state)
-                    .is_some_and(|st| self.ingest(Some(rs.snapshot.frontier), false).state == st)
-            })
-        } else {
-            None
-        };
-        if let Some(rs) = &restored {
-            let tags = rs.snapshot.covered_tags();
-            fabric.with_managers(|ms| {
-                for m in ms.iter_mut() {
-                    m.restore_job(jid, job.weight(), &tags);
-                }
-            });
-        }
+        // The snapshot's keyed state must equal the state replay
+        // reconstructs at its frontier; divergence refuses the snapshot
+        // (replay-from-zero) rather than resuming wrong.
+        let restore = job.restore(cluster, &self.env.name, SimTime::ZERO, |snap| {
+            StreamState::decode(&snap.state)
+                .is_some_and(|st| self.ingest(Some(snap.frontier), false).state == st)
+        });
 
         // --- submit every fired window at its fire instant ---------------
         let mut last_submit = SimTime::ZERO;
@@ -648,83 +594,58 @@ impl<'a, T> WindowPipeline<'a, T> {
             last_submit = last_submit.max(fw.fire_at);
             first_fire = first_fire.min(fw.fire_at);
         }
-        gflink_flink::gate::checkpoint(last_submit);
 
         // --- drain: decode each window's rows straight into outputs -----
-        struct Exec {
-            worker: u32,
-            seq: u32,
-            completed: SimTime,
-            emitted: usize,
-            /// The raw output, kept only for snapshot blocks (empty when
-            /// checkpointing is off).
-            payload: Vec<u8>,
-        }
-        let mut executed: Vec<Exec> = Vec::new();
+        // One snapshot block per executed window; the raw output is kept
+        // only when checkpointing is on.
+        let mut executed: Vec<SnapshotBlock> = Vec::new();
         let mut outputs = Vec::new();
-        let mut wall_end = SimTime::ZERO;
-        for w in 0..workers {
-            for done in job.drain_worker(w) {
-                let (seq, completed) = (done.tag.1, done.timing.completed);
-                let fw = &ing.fired[seq as usize];
-                let lat = completed.saturating_sub(fw.fire_at);
-                let rows = keyagg_rows(&done.output, done.emitted);
-                let emitted = rows.len();
-                outputs.extend(rows.map(|(key, agg)| WindowOutput {
-                    span: fw.span,
-                    key,
-                    agg,
-                    fired_at: completed,
-                    latency: lat,
-                    restored: false,
-                }));
-                wall_end = wall_end.max(completed);
-                executed.push(Exec {
-                    worker: done.tag.0,
-                    seq,
-                    completed,
-                    emitted,
-                    payload: if ckpt_on {
-                        done.output.as_slice().to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        let mut lost = Vec::new();
-        let mut crashed_at = self.crash_at;
-        for f in job.take_failed() {
-            wall_end = wall_end.max(f.failed_at);
-            crashed_at = Some(crashed_at.map_or(f.failed_at, |c| c.min(f.failed_at)));
-            lost.push(LostBatch {
-                index: f.tag.1 as usize,
-                worker: f.tag.0 as usize,
-                reason: f.reason,
+        let drained = job.drain(last_submit, |_, done| {
+            let (seq, completed) = (done.tag.1, done.timing.completed);
+            let fw = &ing.fired[seq as usize];
+            let lat = completed.saturating_sub(fw.fire_at);
+            let rows = keyagg_rows(&done.output, done.emitted);
+            let emitted = rows.len();
+            outputs.extend(rows.map(|(key, agg)| WindowOutput {
+                span: fw.span,
+                key,
+                agg,
+                fired_at: completed,
+                latency: lat,
+                restored: false,
+            }));
+            executed.push(SnapshotBlock {
+                tag: done.tag,
+                emitted: Some(emitted),
+                completed_at: completed,
+                payload: if restore.enabled() {
+                    done.output.as_slice().to_vec()
+                } else {
+                    Vec::new()
+                },
             });
-        }
-        executed.sort_by_key(|e| e.seq);
+        });
+        executed.sort_by_key(|e| e.tag.1);
+        // A driver crash bounds the snapshot cadence like a permanent
+        // failure does.
+        let crashed_at = self.crash_at.into_iter().chain(drained.crashed_at).min();
 
         // --- latency in fire order, then snapshot-restored windows --------
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
+        let mut report = StreamReport {
+            late_records: ing.late,
+            ..drained_report(drained)
+        };
         for e in &executed {
-            let lat = e
-                .completed
-                .saturating_sub(ing.fired[e.seq as usize].fire_at);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
+            report.complete(ing.fired[e.tag.1 as usize].fire_at, e.completed_at);
         }
         let mut windows_restored = 0u64;
-        if let Some(rs) = &restored {
+        if let Some(rs) = &restore.snapshot {
             for blk in &rs.snapshot.blocks {
                 let Some(fw) = ing.fired.get(blk.tag.1 as usize) else {
                     continue;
                 };
                 windows_restored += 1;
-                wall_end = wall_end.max(rs.ready_at);
+                report.finished_at = report.finished_at.max(rs.ready_at);
                 let buf = HBuffer::from_bytes(&blk.payload);
                 outputs.extend(
                     keyagg_rows(&buf, blk.emitted).map(|(key, agg)| WindowOutput {
@@ -739,92 +660,52 @@ impl<'a, T> WindowPipeline<'a, T> {
             }
         }
 
-        // --- backpressure accounting --------------------------------------
-        let (parked_works, park_delay) = fabric.with_managers(|ms| {
-            let mut p = 0u64;
-            let mut d = SimTime::ZERO;
-            for m in ms.iter() {
-                if let Some(s) = m.session(jid) {
-                    p += s.parked_works();
-                    d += s.park_delay();
-                }
-            }
-            (p, d)
-        });
-
-        // --- periodic snapshots (gdst cadence, stream state attached) -----
+        // --- periodic snapshots, keyed stream state attached ---------------
         let mut checkpoints = 0u64;
-        let windows_executed = executed.len();
-        if ckpt_on && !ing.fired.is_empty() {
-            let mut done_blocks: Vec<SnapshotBlock> = executed
-                .into_iter()
-                .map(|e| SnapshotBlock {
-                    tag: (e.worker, e.seq),
-                    emitted: Some(e.emitted),
-                    completed_at: e.completed,
-                    payload: e.payload,
-                })
-                .collect();
-            if let Some(rs) = &restored {
-                for blk in &rs.snapshot.blocks {
-                    done_blocks.push(SnapshotBlock {
-                        completed_at: rs.ready_at,
-                        ..blk.clone()
-                    });
-                }
-            }
-            done_blocks.sort_by_key(|b| (b.completed_at, b.tag));
-            let cl = cluster.expect("ckpt_on implies cluster");
-            let mut cl = cl.lock();
-            checkpoints = fabric.with_checkpoints(|ck| {
-                let mut written = 0u64;
-                ck.seed(jid.0, first_fire.min(wall_end));
-                let horizon = crashed_at.unwrap_or(wall_end);
-                let mut ticks = ck.due_ticks(jid.0, horizon);
-                if crashed_at.is_none() {
-                    ticks.push(wall_end);
-                }
-                let states = self.tick_states(&ticks);
-                for (&tick, state) in ticks.iter().zip(states) {
-                    let upto = done_blocks.partition_point(|b| b.completed_at <= tick);
-                    let snap = JobSnapshot {
-                        job: jid.0,
-                        seq,
-                        frontier: tick,
-                        state: state.encode(),
-                        blocks: done_blocks[..upto].to_vec(),
-                        cache: Vec::new(),
-                    };
-                    if ck
-                        .write(&mut cl.hdfs, 0, &self.env.name, &snap, tick)
-                        .is_ok()
-                    {
-                        written += 1;
-                    }
-                }
-                written
-            });
+        if !ing.fired.is_empty() {
+            (checkpoints, _) = job.write_snapshots(
+                &restore,
+                executed,
+                first_fire,
+                report.finished_at,
+                crashed_at,
+                |ticks| {
+                    let states = self.tick_states(ticks);
+                    states.iter().map(StreamState::encode).collect()
+                },
+            );
         }
         job.finish();
 
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
-            report: StreamReport {
-                batches: windows_executed,
-                latency,
-                latency_hist: hist,
-                last_latency,
-                finished_at: wall_end,
-                lost,
-                late_records: ing.late,
-                parked_works,
-                park_delay,
-            },
+            report,
             windows: outputs,
             watermarks: ing.stamps,
             windows_restored,
             checkpoints,
         })
+    }
+}
+
+/// A report seeded with a GPU stream job's drain: its finish, its
+/// terminal failures as lost units (a failed work's tag carries the batch
+/// index or window fire sequence) and its pen statistics.
+fn drained_report(drained: Drained) -> StreamReport {
+    StreamReport {
+        finished_at: drained.wall_end,
+        lost: drained
+            .failed
+            .into_iter()
+            .map(|f| LostBatch {
+                index: f.tag.1 as usize,
+                worker: f.tag.0 as usize,
+                reason: f.reason,
+            })
+            .collect(),
+        parked_works: drained.pen.parked_works,
+        park_delay: drained.pen.park_delay,
+        ..StreamReport::empty()
     }
 }
 
@@ -886,126 +767,38 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
                 }
             }
             let n_logical = src.batch_logical();
-            let out_rows = match spec.out_mode {
-                OutMode::PerRecord => rows,
-                OutMode::PerBlock(n) => n,
-                OutMode::Bounded { per_record } => rows * per_record,
-            };
-            let out_logical_bytes = match spec.out_mode {
-                OutMode::PerRecord => n_logical * out_def.size() as u64,
-                OutMode::PerBlock(n) => (n * out_def.size()) as u64,
-                OutMode::Bounded { per_record } => {
-                    n_logical * per_record as u64 * out_def.size() as u64
-                }
-            };
-            let mut inputs = vec![WorkBuf::transient(
-                Arc::new(buf),
-                n_logical * def.size() as u64,
-            )];
-            if let Some(extra) = &spec.extra_input {
-                inputs.push(match extra.cache_token {
-                    Some(token) => WorkBuf::cached(
-                        Arc::clone(&extra.data),
-                        extra.logical_bytes,
-                        crate::gwork::CacheKey {
-                            dataset: token,
-                            partition: u32::MAX,
-                            block: 0,
-                        },
-                    ),
-                    None => WorkBuf::transient(Arc::clone(&extra.data), extra.logical_bytes),
-                });
-            }
-            let work = GWork {
+            let block = Block {
                 name: format!("stream-batch-{g}").into(),
-                execute_name: Arc::clone(&spec.kernel),
-                kernel: spec.kernel_id,
-                ptx_path: Arc::clone(&spec.ptx_path),
-                block_size: spec.block_size,
-                grid_size: u32::try_from(n_logical)
-                    .unwrap_or(u32::MAX)
-                    .div_ceil(spec.block_size.max(1)),
-                inputs,
-                out_actual_bytes: RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows),
-                out_logical_bytes,
-                out_records: out_rows,
-                params: Arc::clone(&spec.params),
-                n_actual: rows,
+                input: WorkBuf::transient(Arc::new(buf), n_logical * def.size() as u64),
+                rows,
                 n_logical,
                 coalescing: 1.0,
                 tag: ((g % workers) as u32, g as u32),
             };
-            job.submit_to(g % workers, work, b.arrival);
+            job.submit_to(
+                g % workers,
+                spec.work(block, &out_def, spec.out_mode),
+                b.arrival,
+            );
             last_submit = last_submit.max(b.arrival);
         }
-        gflink_flink::gate::checkpoint(last_submit);
 
         let mut completions: Vec<Option<(SimTime, Vec<U>)>> =
             (0..batches.len()).map(|_| None).collect();
-        let mut finished = SimTime::ZERO;
-        for w in 0..workers {
-            for done in job.drain_worker(w) {
-                let g = done.tag.1 as usize;
-                let capacity = done.output.len() / out_def.size().max(1);
-                let out_rows = match spec.out_mode {
-                    OutMode::PerRecord => done.emitted.unwrap_or(capacity).min(capacity),
-                    OutMode::PerBlock(n) => n.min(capacity),
-                    OutMode::Bounded { .. } => done.emitted.unwrap_or(0).min(capacity),
-                };
-                let reader = RecordReader::new(&done.output, &out_def, DataLayout::Aos, capacity);
-                let records: Vec<U> = (0..out_rows).map(|j| U::load(&reader, j)).collect();
-                finished = finished.max(done.timing.completed);
-                completions[g] = Some((done.timing.completed, records));
-            }
-        }
-        let mut lost = Vec::new();
-        for f in job.take_failed() {
-            finished = finished.max(f.failed_at);
-            lost.push(LostBatch {
-                index: f.tag.1 as usize,
-                worker: f.tag.0 as usize,
-                reason: f.reason,
-            });
-        }
-        let (parked_works, park_delay) = fabric.with_managers(|ms| {
-            let mut p = 0u64;
-            let mut d = SimTime::ZERO;
-            for m in ms.iter() {
-                if let Some(s) = m.session(job.id()) {
-                    p += s.parked_works();
-                    d += s.park_delay();
-                }
-            }
-            (p, d)
+        let drained = job.drain(last_submit, |_, done| {
+            let records = spec.decode(&out_def, &done.output, done.emitted).collect();
+            completions[done.tag.1 as usize] = Some((done.timing.completed, records));
         });
         job.finish();
 
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
-        let mut processed = 0usize;
+        let mut report = drained_report(drained);
         for (g, c) in completions.iter().enumerate() {
-            let Some((completed, records)) = c else {
-                continue;
-            };
-            check(g, records);
-            let lat = completed.saturating_sub(batches[g].arrival);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
-            processed += 1;
+            if let Some((completed, records)) = c {
+                check(g, records);
+                report.complete(batches[g].arrival, *completed);
+            }
         }
-        Ok(StreamReport {
-            batches: processed,
-            latency,
-            latency_hist: hist,
-            last_latency,
-            finished_at: finished,
-            lost,
-            late_records: 0,
-            parked_works,
-            park_delay,
-        })
+        Ok(report)
     }
 }
 
@@ -1025,10 +818,7 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
         let cpu = cfg.cpu;
         let slots = (cfg.num_workers * cfg.slots_per_worker).max(1);
         let mut slot_free = vec![SimTime::ZERO; slots];
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
-        let mut finished = SimTime::ZERO;
+        let mut report = StreamReport::empty();
         let batches = merged_batches(&self.stream.sources);
         for (g, b) in batches.iter().enumerate() {
             let (src, gen) = &self.stream.sources[b.source];
@@ -1038,23 +828,10 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
             }
             let dur = cpu.time_for(&self.cost, src.batch_logical() as f64);
             let slot = &mut slot_free[g % slots];
-            let start = b.arrival.max(*slot);
-            let end = start + dur;
-            *slot = end;
-            let lat = end.saturating_sub(b.arrival);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
-            finished = finished.max(end);
+            *slot = b.arrival.max(*slot) + dur;
+            report.complete(b.arrival, *slot);
         }
-        Ok(StreamReport {
-            batches: batches.len(),
-            latency,
-            latency_hist: hist,
-            last_latency,
-            finished_at: finished,
-            ..StreamReport::empty()
-        })
+        Ok(report)
     }
 }
 

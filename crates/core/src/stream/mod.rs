@@ -165,6 +165,19 @@ impl StreamReport {
         }
     }
 
+    /// Fold one unit released at `release` and completed at `done` into
+    /// the count, the latency summary and histogram, the last latency and
+    /// the finish instant. Returns the unit's latency.
+    fn complete(&mut self, release: SimTime, done: SimTime) -> SimTime {
+        let lat = done.saturating_sub(release);
+        self.batches += 1;
+        self.latency.add_time(lat);
+        self.latency_hist.record(lat);
+        self.last_latency = lat;
+        self.finished_at = self.finished_at.max(done);
+        lat
+    }
+
     /// Whether the operator kept up: no unit was lost, and the last unit's
     /// latency is within `factor` of the mean (no queue growth). A loss-free
     /// run whose mean latency is zero (nothing completed, or all-zero

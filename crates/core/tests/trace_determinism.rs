@@ -8,8 +8,9 @@
 //! caught too.
 
 use gflink_core::{
-    BatchConfig, CacheKey, FabricConfig, GRecord, GWork, GflinkEnv, GpuFabric, GpuManager,
-    GpuMapSpec, GpuWorkerConfig, JobId, WorkBuf,
+    AggSpec, BatchConfig, CacheKey, FabricConfig, GRecord, GWork, GflinkEnv, GpuFabric, GpuManager,
+    GpuMapSpec, GpuWorkerConfig, JobId, StreamEnv, StreamSource, Tumbling, WatermarkStrategy,
+    WorkBuf,
 };
 use gflink_flink::{ClusterConfig, SharedCluster};
 use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
@@ -420,4 +421,59 @@ fn disabled_metrics_plane_dumps_nothing() {
         "without enable_metrics the flight recorder must stay dark"
     );
     assert!(!fabric.metrics().enabled());
+}
+
+/// A windowed event whose timestamp tracks its arrival.
+#[derive(Clone)]
+struct Bid {
+    ts: SimTime,
+    seller: u64,
+    price: f64,
+}
+
+/// A scripted device loss under a checkpoint-free window pipeline with the
+/// metrics plane on; returns the postmortem bundles' JSON.
+fn run_stream_postmortem_once(dir: &str) -> Vec<String> {
+    let fabric = GpuFabric::new(2, FabricConfig::default());
+    fabric.enable_metrics();
+    fabric.set_postmortem_dir(dir);
+    fabric.with_managers(|ms| {
+        ms[0].set_fault_plan(
+            FaultPlan::new().with(SimTime::from_millis(700), FaultKind::GpuLost { gpu: 0 }),
+        );
+    });
+    let src = StreamSource::at_rate(20_000_000.0).for_duration(SimTime::from_secs(2));
+    let run = StreamEnv::gpu(&fabric)
+        .source(src, |i| Bid {
+            ts: SimTime::from_nanos(i * 50_000_000 / 64),
+            seller: i % 8,
+            price: (i % 97) as f64 * 0.5,
+        })
+        .timestamps(
+            |b: &Bid| b.ts,
+            WatermarkStrategy::bounded(SimTime::from_millis(40)),
+        )
+        .key_by(|b: &Bid| b.seller)
+        .window(Tumbling::of(SimTime::from_millis(100)))
+        .aggregate(AggSpec::avg(), |b: &Bid| b.price)
+        .run()
+        .expect("the survivor GPU absorbs the stream");
+    assert!(run.report.lost.is_empty());
+    fabric.postmortems().iter().map(|b| b.to_json()).collect()
+}
+
+#[test]
+fn stream_device_loss_dumps_a_deterministic_postmortem() {
+    let a = run_stream_postmortem_once("target/postmortem-test/stream-a");
+    let b = run_stream_postmortem_once("target/postmortem-test/stream-b");
+    assert_eq!(a, b, "postmortem bundles must replay byte-identically");
+    // The stream is the first job on its fabric: job 1.
+    let fault = a
+        .iter()
+        .find(|j| j.contains("\"reason\":\"fault-ledger\""))
+        .expect("the stream job dumps a fault-ledger bundle");
+    assert!(fault.contains("\"job\":1,"));
+    assert!(fault.contains(&format!("\"kind\":\"{}\"", RecKind::DeviceLost.as_str())));
+    assert!(fault.contains("\"gpus_lost\":1"));
+    assert!(fault.contains("\"state\":\"lost\""));
 }

@@ -299,3 +299,138 @@ proptest! {
         prop_assert_eq!(report.faults.works_failed, 0);
     }
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a (64-bit) folded over `bytes`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Fold every GFCK snapshot file on the cluster into `h`, in file-name
+/// order: its name, write epoch, completion instant and bytes.
+fn hash_snapshots(h: &mut u64, cluster: &SharedCluster) {
+    let cl = cluster.lock();
+    for file in cl
+        .hdfs
+        .list()
+        .into_iter()
+        .filter(|f| f.starts_with("ckpt/"))
+    {
+        let m = cl.hdfs.manifest(&file).expect("snapshots carry a manifest");
+        let data = cl.hdfs.data(&file).expect("snapshot file exists");
+        assert_eq!(&data[..4], b"GFCK", "{file} is a GFCK snapshot");
+        fnv1a(h, file.as_bytes());
+        fnv1a(h, &m.epoch.to_le_bytes());
+        fnv1a(h, &m.taken_at.as_nanos().to_le_bytes());
+        fnv1a(h, &data);
+    }
+}
+
+/// A windowed event: timestamps track arrival with a deterministic jitter
+/// of up to 30 ms, so some records arrive out of order.
+#[derive(Clone)]
+struct Event {
+    ts: SimTime,
+    key: u64,
+    value: f64,
+}
+
+fn event(i: u64) -> Event {
+    let base = i * 50_000_000 / 64;
+    let jitter = (i.wrapping_mul(2_654_435_761)) % 30_000_000;
+    Event {
+        ts: SimTime::from_nanos(base.saturating_sub(jitter)),
+        key: i % 8,
+        value: (i % 97) as f64 * 0.5,
+    }
+}
+
+/// Checkpointed tumbling-window aggregation crashed at `crash_at`, then
+/// resumed under the same name on the same cluster. Returns the snapshot
+/// hashes after each run, the resumed finish and its restored windows.
+fn window_crash_then_resume(crash_at: SimTime) -> (u64, u64, u64, u64) {
+    let src = StreamSource::at_rate(20_000_000.0).for_duration(SimTime::from_secs(2));
+    let cluster = SharedCluster::new(ClusterConfig::standard(2));
+    let fabric = GpuFabric::new(
+        2,
+        FabricConfig {
+            checkpoint: CheckpointConfig::every(SimTime::from_millis(200)),
+            ..FabricConfig::default()
+        },
+    );
+    let env = StreamEnv::gpu(&fabric)
+        .with_cluster(&cluster)
+        .named("ckpt-windows");
+    let pipeline = || {
+        env.source(src.clone(), event)
+            .timestamps(
+                |e: &Event| e.ts,
+                WatermarkStrategy::bounded(SimTime::from_millis(40)),
+            )
+            .key_by(|e: &Event| e.key)
+            .window(Tumbling::of(SimTime::from_millis(100)))
+            .aggregate(AggSpec::avg(), |e: &Event| e.value)
+    };
+    let crashed = pipeline().crash_at(crash_at).run().expect("crashed run");
+    assert!(crashed.checkpoints > 0);
+    let mut after_crash = FNV_OFFSET;
+    hash_snapshots(&mut after_crash, &cluster);
+    let resumed = pipeline().run().expect("resumed run");
+    assert!(resumed.windows_restored > 0);
+    let mut after_resume = FNV_OFFSET;
+    hash_snapshots(&mut after_resume, &cluster);
+    (
+        after_crash,
+        after_resume,
+        resumed.report.finished_at.as_nanos(),
+        resumed.windows_restored,
+    )
+}
+
+/// The GFCK bytes both drivers write across a crash→resume boundary, and
+/// the resumed run's simulated finish, pinned by hash: the snapshot writer
+/// and the restore path may be restructured, but never change a byte.
+#[test]
+fn gfck_snapshots_and_resumed_finish_are_pinned() {
+    // Batch operator: the crash→resume of
+    // `resume_from_checkpoint_is_bit_identical_and_balanced`.
+    let cluster = SharedCluster::new(ClusterConfig::standard(1));
+    let interval = SimTime::from_millis(1);
+    let f1 = make_fabric(fabric_cfg(interval, false));
+    let faults = kill_all_at(SimTime::from_micros(1_264_000));
+    attempt(&cluster, &f1, "elastic", faults, MembershipPlan::new());
+    let mut crashed = FNV_OFFSET;
+    hash_snapshots(&mut crashed, &cluster);
+    let f2 = make_fabric(fabric_cfg(interval, false));
+    let (_, report) = attempt(
+        &cluster,
+        &f2,
+        "elastic",
+        FaultPlan::new(),
+        MembershipPlan::new(),
+    );
+    let mut resumed = FNV_OFFSET;
+    hash_snapshots(&mut resumed, &cluster);
+    let batch = (crashed, resumed, report.finished_at.as_nanos());
+
+    // Window pipeline: two crash instants, so different snapshot prefixes.
+    let windows: Vec<_> = [500, 900]
+        .into_iter()
+        .map(|ms| window_crash_then_resume(SimTime::from_millis(ms)))
+        .collect();
+    assert_eq!(
+        batch,
+        (0xb33894f8e79e7743, 0xd6d056d9c1f8bbf4, 1_302_896_917)
+    );
+    assert_eq!(
+        windows,
+        [
+            (0xdd0fc748817258de, 0x7ca36c87c5352c3b, 2_010_598_549, 2),
+            (0xf095c3bfa4427b6b, 0x151d9b38785fce7a, 2_010_598_549, 6),
+        ]
+    );
+}
