@@ -22,9 +22,12 @@
 //!
 //! Artifacts:
 //! * `results/harness_throughput.json` — this run plus the committed
-//!   pre-refactor baseline;
-//! * `BENCH_throughput.json` (workspace root, one JSON object per line) —
-//!   the trajectory file future re-anchors diff and gate against.
+//!   pre-refactor baseline. A run writes nothing else.
+//!
+//! `BENCH_throughput.json` (workspace root, one JSON object per line) is
+//! the committed trajectory. Its one line marked `"anchor":true` is the
+//! regression reference; the other lines are history. Runs never write
+//! it: moving the anchor is a deliberate, reviewed edit.
 //!
 //! Gates (skipped when `GFLINK_BENCH_BASELINE=1`, the re-measuring mode):
 //! * allocation: steady-state allocations per scheduled GWork must stay
@@ -36,7 +39,7 @@
 //!   baseline by at least 1.15x (measured speedup is ~1.5-1.8x; the gate
 //!   sits below the machine-noise band so CI does not flake);
 //! * regression: normalized throughput must not drop more than 20% below
-//!   the last committed `BENCH_throughput.json` entry;
+//!   the `BENCH_throughput.json` anchor line;
 //! * metrics: both paths re-run with the live metrics plane attached must
 //!   stay inside the same allocation budgets and cost at most 5% of the
 //!   dark-path throughput. The dark runs themselves are the
@@ -303,12 +306,12 @@ fn calibrate() -> f64 {
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Last committed trajectory entry's normalized throughputs, parsed from
-/// `BENCH_throughput.json` (one JSON object per line). Hand-rolled — the
-/// image ships no serde; the file is machine-written so a flat key scan is
-/// enough.
-fn committed_normalized(text: &str) -> Option<(f64, f64)> {
-    let line = text.lines().rev().find(|l| !l.trim().is_empty())?;
+/// The regression anchor's normalized throughputs: the one line of
+/// `BENCH_throughput.json` (one JSON object per line) marked
+/// `"anchor":true`. Hand-rolled — the workspace has no serde; the file's
+/// lines are flat objects, so a key scan is enough.
+fn anchor_normalized(text: &str) -> Option<(f64, f64)> {
+    let line = text.lines().find(|l| l.contains("\"anchor\":true"))?;
     let grab = |key: &str| -> Option<f64> {
         let at = line.find(&format!("\"{key}\":"))?;
         let rest = &line[at + key.len() + 3..];
@@ -442,8 +445,7 @@ fn main() {
     write_results("harness_throughput", &entry);
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let trajectory_path = format!("{root}/BENCH_throughput.json");
-    let committed = std::fs::read_to_string(&trajectory_path).unwrap_or_default();
+    let trajectory = std::fs::read_to_string(format!("{root}/BENCH_throughput.json"));
 
     if baseline_mode {
         println!("(baseline mode: gates skipped)");
@@ -504,33 +506,25 @@ fn main() {
             "fused throughput regressed to {speedup_fused:.2}x the pre-refactor \
              baseline (normalized {norm_fused:.4} vs baseline {base_norm_fused:.4})"
         );
-        if let Some((solo_ref, fused_ref)) = committed_normalized(&committed) {
+        if let Some((solo_ref, fused_ref)) = trajectory.ok().as_deref().and_then(anchor_normalized)
+        {
             assert!(
                 norm_solo >= 0.8 * solo_ref,
                 "regression gate: normalized solo throughput {norm_solo:.4} \
-                 dropped >20% below committed {solo_ref:.4}"
+                 dropped >20% below the anchor {solo_ref:.4}"
             );
             assert!(
                 norm_fused >= 0.8 * fused_ref,
                 "regression gate: normalized fused throughput {norm_fused:.4} \
-                 dropped >20% below committed {fused_ref:.4}"
+                 dropped >20% below the anchor {fused_ref:.4}"
             );
             println!(
-                "(regression gate: solo {:.0}% / fused {:.0}% of committed trajectory)",
+                "(regression gate: solo {:.0}% / fused {:.0}% of the anchor)",
                 100.0 * norm_solo / solo_ref,
                 100.0 * norm_fused / fused_ref
             );
         } else {
-            println!("(no committed BENCH_throughput.json entry; regression gate idle)");
+            println!("(no BENCH_throughput.json anchor line; regression gate idle)");
         }
     }
-
-    // Append this run to the trajectory file (one JSON object per line).
-    let mut text = committed;
-    if !text.is_empty() && !text.ends_with('\n') {
-        text.push('\n');
-    }
-    text.push_str(&entry.render());
-    text.push('\n');
-    let _ = std::fs::write(&trajectory_path, text);
 }

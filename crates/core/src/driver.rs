@@ -14,10 +14,11 @@ use crate::gwork::CompletedWork;
 use crate::jobsched::JobHandle;
 use crate::manager::{GpuManager, CPU_FALLBACK_GPU};
 use crate::observe::build_cluster_snapshot;
+use crate::occurrence::Kind;
 use crate::recovery::FailedWork;
 use crate::session::JobId;
 use gflink_flink::SharedCluster;
-use gflink_sim::{FaultLedger, LogHistogram, RecEvent, RecKind, SimTime};
+use gflink_sim::{FaultLedger, LogHistogram, RecEvent, SimTime};
 
 /// What [`JobHandle::restore`] found for one operator invocation.
 pub(crate) struct Restore {
@@ -144,7 +145,8 @@ impl JobHandle {
         // Lock order: the fabric's bookkeeping locks (metrics, observer
         // policy, live jobs, checkpoint cursors) are copied out before the
         // managers are held, matching the admission path's
-        // live-jobs-then-managers order.
+        // live-jobs-then-managers order. With the plane off the SLO is the
+        // default, which never breaches.
         let metrics = fabric.metrics.lock().clone();
         let (slo, health) = if metrics.enabled() {
             (fabric.observer.lock().slo, fabric.health_inputs())
@@ -162,14 +164,11 @@ impl JobHandle {
                 for done in m.drain_job(job) {
                     let (completed, total) = (done.timing.completed, done.timing.total());
                     wall_end = wall_end.max(completed);
-                    if metrics.enabled() && slo.breached(total) {
+                    if slo.breached(total) {
                         slo_breaches += 1;
-                        let mut ev = RecEvent::new(completed, RecKind::SloBreach, worker as u32)
-                            .with_detail(total.as_nanos());
-                        if done.gpu != CPU_FALLBACK_GPU {
-                            ev = ev.on_gpu(done.gpu);
-                        }
-                        m.record_job_event(job, ev);
+                        let mut breach = Kind::SloBreach(total).at(completed).of(job);
+                        breach.gpu = (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu);
+                        m.emit(breach);
                     }
                     on_done(worker, done);
                 }
@@ -274,42 +273,21 @@ impl JobHandle {
                 }
             }
         }
-        // Lifetime counters, plus flight-recorder entries on every
-        // worker's ring: a snapshot write or a restore is job-scoped, not
-        // device-scoped.
-        let metrics = fabric.metrics.lock().clone();
-        if metrics.enabled() {
-            metrics
-                .counter("gflink_checkpoints_total", "Durable job snapshots written")
-                .add(checkpoints);
-            metrics
-                .counter(
-                    "gflink_checkpoint_bytes_total",
-                    "Bytes written to durable snapshots",
-                )
-                .add(bytes);
-            if restore.snapshot.is_some() {
-                metrics
-                    .counter(
-                        "gflink_restores_total",
-                        "Jobs restored from a durable snapshot",
-                    )
-                    .inc();
-            }
-            fabric.with_managers(|ms| {
-                for m in ms.iter_mut() {
-                    let w = m.worker_id() as u32;
-                    if checkpoints > 0 {
-                        let ev = RecEvent::new(end, RecKind::CheckpointWritten, w);
-                        m.record_job_event(job, ev.with_detail(checkpoints));
-                    }
-                    if let Some(rs) = &restore.snapshot {
-                        let ev = RecEvent::new(rs.ready_at, RecKind::SnapshotRestored, w);
-                        m.record_job_event(job, ev.with_detail(rs.snapshot.blocks.len() as u64));
-                    }
+        // A snapshot write or a restore is job-scoped, not device-scoped:
+        // every worker reports it against its own session of the job.
+        let written = Kind::Checkpointed {
+            n: checkpoints,
+            bytes,
+        };
+        fabric.with_managers(|ms| {
+            for m in ms.iter_mut() {
+                m.emit(written.at(end).of(job));
+                if let Some(rs) = &restore.snapshot {
+                    let blocks = rs.snapshot.blocks.len() as u64;
+                    m.emit(Kind::SnapshotRestored(blocks).at(rs.ready_at).of(job));
                 }
-            });
-        }
+            }
+        });
         (checkpoints, bytes)
     }
 }

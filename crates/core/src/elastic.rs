@@ -18,8 +18,9 @@
 
 use crate::checkpoint::CacheManifestEntry;
 use crate::manager::GpuManager;
+use crate::occurrence::{Kind, Tenants};
 use crate::session::JobId;
-use gflink_sim::MembershipPlan;
+use gflink_sim::{MembershipPlan, SimTime};
 
 impl GpuManager {
     /// Script membership changes (joins/leaves) against this worker.
@@ -73,7 +74,9 @@ impl GpuManager {
         let n = penned.len() as u64 + session.pending.len() as u64;
         session.pending.clear();
         if n > 0 {
-            self.recovery.note_parked_abandoned(session, n);
+            // Teardown has no simulated instant; nothing projects `at`.
+            let abandoned = Kind::ParkedAbandoned(n).at(SimTime::ZERO).of(job);
+            self.obs.emit(Tenants::One(session), abandoned);
         }
     }
 }

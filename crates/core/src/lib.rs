@@ -42,6 +42,7 @@ pub mod jobsched;
 pub mod manager;
 pub mod model;
 mod observe;
+mod occurrence;
 pub mod recovery;
 pub mod scheduling;
 pub mod session;

@@ -12,8 +12,11 @@
 //!   drives Algorithm 5.1/5.2 scheduling plus the three-stage
 //!   H2D → Kernel → D2H pipeline.
 //! * [`RecoveryManager`](crate::recovery::RecoveryManager) owns the fault
-//!   plan, retry/backoff routing, the CPU fallback path, and the
-//!   double-entry fault ledgers (see DESIGN.md, "Fault model & recovery").
+//!   plan, retry/backoff routing and the CPU fallback path (see DESIGN.md,
+//!   "Fault model & recovery").
+//! * [`Emitter`](crate::occurrence::Emitter) is the one place every layer
+//!   reports an occurrence; it keeps the double-entry fault ledgers and
+//!   feeds the metrics, flight recorder and trace.
 //!
 //! This type wires them together around a [`JobSession`] per job: all
 //! mutable per-job state — cache regions, pending submissions,
@@ -33,6 +36,7 @@
 use crate::gmemory::GMemoryManager;
 use crate::gstream::{Engine, Ev, GStreamManager};
 use crate::gwork::{CompletedWork, GWork};
+use crate::occurrence::{Emitter, Kind, Tenants};
 use crate::recovery::RecoveryManager;
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{KernelRegistry, VirtualGpu};
@@ -52,6 +56,7 @@ pub struct GpuManager {
     pub(crate) gmem: GMemoryManager,
     pub(crate) gstream: GStreamManager,
     pub(crate) recovery: RecoveryManager,
+    pub(crate) obs: Emitter,
     pub(crate) sessions: BTreeMap<JobId, JobSession>,
     pub(crate) registry: Arc<Mutex<KernelRegistry>>,
     pub(crate) rng: SimRng,
@@ -77,6 +82,7 @@ impl GpuManager {
         let recovery = RecoveryManager::new(&cfg);
         GpuManager {
             worker_id,
+            obs: Emitter::new(worker_id, cfg.models.len()),
             gmem,
             gstream,
             recovery,
@@ -130,7 +136,7 @@ impl GpuManager {
 
     /// Number of Alg. 5.2 steals from foreign queues.
     pub fn steals(&self) -> u64 {
-        self.gstream.steals()
+        self.obs.steals()
     }
 
     /// Whole-worker pinned staging-pool accounting (hits, misses, bytes).
@@ -167,7 +173,7 @@ impl GpuManager {
     /// Number of injected kernel failures recovered from (random
     /// `failure_rate` plus scripted transients).
     pub fn failures(&self) -> u64 {
-        self.recovery.failures()
+        self.obs.ledger().transient_faults
     }
 
     /// Script faults against this manager's devices. Events at instants the
@@ -181,12 +187,13 @@ impl GpuManager {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.gmem.set_tracer(tracer.clone(), self.worker_id);
         self.gstream.set_tracer(tracer.clone(), self.worker_id);
-        self.recovery.set_tracer(tracer, self.worker_id);
+        self.recovery.name_tracks(&tracer, self.worker_id);
+        self.obs.set_tracer(tracer);
     }
 
     /// Worker-global cumulative fault/recovery counters.
     pub fn fault_ledger(&self) -> FaultLedger {
-        self.recovery.ledger()
+        self.obs.ledger()
     }
 
     /// Number of devices still usable (healthy or degraded).
@@ -276,7 +283,8 @@ impl GpuManager {
         self.begin_job(job);
         let session = self.sessions.get_mut(&job).expect("session just ensured");
         if session.covered.remove(&work.tag) {
-            self.recovery.note_work_restored(session);
+            let restored = Kind::WorkRestored.at(at).of(job);
+            self.obs.emit(Tenants::One(session), restored);
             return;
         }
         session.pending.push((at, work));
@@ -332,6 +340,7 @@ impl GpuManager {
         let mut eng = Engine {
             gmem: &mut self.gmem,
             recovery: &mut self.recovery,
+            obs: &mut self.obs,
             sessions: &mut self.sessions,
             registry: &self.registry,
             rng: &mut self.rng,

@@ -6,10 +6,9 @@
 //!
 //! Three surfaces live here:
 //!
-//! * [`GpuManager::set_metrics`] — mirrors `set_tracer`: hands every layer
-//!   (GMemory, GStream, Recovery, and through them each device) its
-//!   pre-registered counter/gauge/histogram handles, so the per-work hot
-//!   path stays allocation-free and a disabled plane costs one branch.
+//! * [`GpuManager::set_metrics`] — mirrors `set_tracer`: registers the
+//!   occurrence emitter's series and each device engine's, so the per-work
+//!   hot path stays allocation-free and a disabled plane costs one branch.
 //! * [`GpuFabric::cluster_snapshot`] — a point-in-time
 //!   [`ClusterSnapshot`] health view (device health and utilization,
 //!   stream queue depths, cache occupancy against budget, pen depth,
@@ -22,6 +21,7 @@
 
 use crate::gdst::GpuFabric;
 use crate::manager::GpuManager;
+use crate::occurrence::{Occurrence, Tenants};
 use crate::session::JobId;
 use gflink_flink::{ClusterSnapshot, DeviceSnapshot, DeviceState, JobHealth, WorkerSnapshot};
 use gflink_gpu::DeviceHealth;
@@ -32,22 +32,25 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 impl GpuManager {
-    /// Attach the shared metrics plane to every layer of this worker,
-    /// mirroring [`set_tracer`](GpuManager::set_tracer): each layer
-    /// registers its own labelled series once, here, so the per-work hot
-    /// path only touches pre-minted handles.
+    /// Attach the shared metrics plane, mirroring
+    /// [`set_tracer`](GpuManager::set_tracer): every series is registered
+    /// once, here — per device the cache series then the engine series,
+    /// then the worker's scheduling, placement and ledger series — so the
+    /// per-work hot path only touches pre-minted handles.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
+        self.obs.set_metrics(metrics);
         self.gmem.set_metrics(metrics, self.worker_id);
-        self.gstream.set_metrics(metrics, self.worker_id);
-        self.recovery.set_metrics(metrics, self.worker_id);
+        for g in 0..self.gmem.gpu_count() {
+            self.obs.register_device(g);
+            self.gmem.register_device_metrics(g);
+        }
+        self.obs.register_worker();
     }
 
-    /// Push one structured event onto `job`'s flight-recorder ring (no-op
-    /// for unknown jobs — the session may already be torn down).
-    pub(crate) fn record_job_event(&mut self, job: JobId, ev: RecEvent) {
-        if let Some(s) = self.sessions.get_mut(&job) {
-            s.recorder.push(ev);
-        }
+    /// Report one occurrence against this worker's open sessions (a job
+    /// already torn down is charged nothing).
+    pub(crate) fn emit(&mut self, o: Occurrence<'_>) {
+        self.obs.emit(Tenants::All(&mut self.sessions), o);
     }
 }
 
