@@ -318,80 +318,45 @@ pub struct FaultLedger {
 impl FaultLedger {
     /// Elementwise sum of two ledgers (merging managers into a job report).
     pub fn merge(&self, other: &FaultLedger) -> FaultLedger {
-        FaultLedger {
-            faults_injected: self.faults_injected + other.faults_injected,
-            gpus_lost: self.gpus_lost + other.gpus_lost,
-            gpus_degraded: self.gpus_degraded + other.gpus_degraded,
-            transient_faults: self.transient_faults + other.transient_faults,
-            hangs_detected: self.hangs_detected + other.hangs_detected,
-            retries: self.retries + other.retries,
-            steals_on_drain: self.steals_on_drain + other.steals_on_drain,
-            cache_invalidations: self.cache_invalidations + other.cache_invalidations,
-            cpu_fallbacks: self.cpu_fallbacks + other.cpu_fallbacks,
-            works_failed: self.works_failed + other.works_failed,
-            works_restored: self.works_restored + other.works_restored,
-            members_joined: self.members_joined + other.members_joined,
-            members_left: self.members_left + other.members_left,
-            parked_abandoned: self.parked_abandoned + other.parked_abandoned,
+        let mut out = *self;
+        for (c, (_, v)) in out.counters_mut().into_iter().zip(other.entries()) {
+            *c += v;
         }
+        out
     }
 
     /// Elementwise delta `self - earlier` (what happened since a snapshot).
     ///
     /// Panics if `earlier` is not a prefix of `self` (counts only grow).
     pub fn since(&self, earlier: &FaultLedger) -> FaultLedger {
-        let sub = |a: u64, b: u64, what: &str| {
-            a.checked_sub(b)
-                .unwrap_or_else(|| panic!("ledger went backwards on {what}: {a} < {b}"))
-        };
-        FaultLedger {
-            faults_injected: sub(
-                self.faults_injected,
-                earlier.faults_injected,
-                "faults_injected",
-            ),
-            gpus_lost: sub(self.gpus_lost, earlier.gpus_lost, "gpus_lost"),
-            gpus_degraded: sub(self.gpus_degraded, earlier.gpus_degraded, "gpus_degraded"),
-            transient_faults: sub(
-                self.transient_faults,
-                earlier.transient_faults,
-                "transient_faults",
-            ),
-            hangs_detected: sub(
-                self.hangs_detected,
-                earlier.hangs_detected,
-                "hangs_detected",
-            ),
-            retries: sub(self.retries, earlier.retries, "retries"),
-            steals_on_drain: sub(
-                self.steals_on_drain,
-                earlier.steals_on_drain,
-                "steals_on_drain",
-            ),
-            cache_invalidations: sub(
-                self.cache_invalidations,
-                earlier.cache_invalidations,
-                "cache_invalidations",
-            ),
-            cpu_fallbacks: sub(self.cpu_fallbacks, earlier.cpu_fallbacks, "cpu_fallbacks"),
-            works_failed: sub(self.works_failed, earlier.works_failed, "works_failed"),
-            works_restored: sub(
-                self.works_restored,
-                earlier.works_restored,
-                "works_restored",
-            ),
-            members_joined: sub(
-                self.members_joined,
-                earlier.members_joined,
-                "members_joined",
-            ),
-            members_left: sub(self.members_left, earlier.members_left, "members_left"),
-            parked_abandoned: sub(
-                self.parked_abandoned,
-                earlier.parked_abandoned,
-                "parked_abandoned",
-            ),
+        let mut out = *self;
+        for (c, (what, b)) in out.counters_mut().into_iter().zip(earlier.entries()) {
+            let a = *c;
+            *c = a
+                .checked_sub(b)
+                .unwrap_or_else(|| panic!("ledger went backwards on {what}: {a} < {b}"));
         }
+        out
+    }
+
+    /// Every counter, mutably, in [`entries`](Self::entries) order.
+    fn counters_mut(&mut self) -> [&mut u64; 14] {
+        [
+            &mut self.faults_injected,
+            &mut self.gpus_lost,
+            &mut self.gpus_degraded,
+            &mut self.transient_faults,
+            &mut self.hangs_detected,
+            &mut self.retries,
+            &mut self.steals_on_drain,
+            &mut self.cache_invalidations,
+            &mut self.cpu_fallbacks,
+            &mut self.works_failed,
+            &mut self.works_restored,
+            &mut self.members_joined,
+            &mut self.members_left,
+            &mut self.parked_abandoned,
+        ]
     }
 
     /// True if nothing was injected and nothing recovered.
