@@ -6,19 +6,22 @@
 //! assemble GWorks, and a consumer side, where GPU streams drain them
 //! (§5). Callers own the producer side: how records become blocks and when
 //! each is submitted. The driver owns the rest, in order:
-//! [`JobHandle::restore`], [`JobHandle::drain`] and
-//! [`JobHandle::write_snapshots`].
+//! [`JobHandle::restore`], [`JobHandle::drain`],
+//! [`JobHandle::write_snapshots`] and [`JobHandle::close`]. It also owns
+//! the job's [`GpuRollup`]: drains fold each completion into it, snapshot
+//! writes their counts, and closing merges in what every worker's session
+//! observed.
 
 use crate::checkpoint::{JobSnapshot, RestoredSnapshot, SnapshotBlock};
 use crate::gwork::CompletedWork;
 use crate::jobsched::JobHandle;
-use crate::manager::{GpuManager, CPU_FALLBACK_GPU};
+use crate::manager::CPU_FALLBACK_GPU;
 use crate::observe::build_cluster_snapshot;
 use crate::occurrence::Kind;
 use crate::recovery::FailedWork;
-use crate::session::JobId;
-use gflink_flink::SharedCluster;
-use gflink_sim::{FaultLedger, LogHistogram, RecEvent, SimTime};
+use gflink_flink::{GpuLane, GpuRollup, SharedCluster};
+use gflink_sim::{FaultLedger, RecEvent, SimTime};
+use std::sync::atomic::Ordering;
 
 /// What [`JobHandle::restore`] found for one operator invocation.
 pub(crate) struct Restore {
@@ -39,26 +42,24 @@ impl Restore {
     }
 }
 
-/// A job's backpressure pen statistics, summed over workers.
-#[derive(Default)]
-pub(crate) struct PenStats {
-    /// Submissions parked in the pen.
-    pub(crate) parked_works: u64,
-    /// Total simulated time they sat penned before release.
-    pub(crate) park_delay: SimTime,
-    /// Pen delay, one sample per release.
-    pub(crate) hist: LogHistogram,
-}
-
-/// `job`'s pen statistics over already-locked managers.
-pub(crate) fn pen_stats(managers: &[GpuManager], job: JobId) -> PenStats {
-    let mut pen = PenStats::default();
-    for s in managers.iter().filter_map(|m| m.session(job)) {
-        pen.parked_works += s.parked_works;
-        pen.park_delay += s.park_delay;
-        pen.hist.merge(&s.pen_hist);
+/// Fold one drained completion into the job's rollup: the engine that
+/// ran it, its stage latencies, cache outcome and bytes moved.
+fn fold(r: &mut GpuRollup, done: &CompletedWork) {
+    let t = &done.timing;
+    if done.gpu == CPU_FALLBACK_GPU {
+        r.cpu_works += 1;
+    } else {
+        r.works += 1;
     }
-    pen
+    r.slo.total.record(t.total());
+    r.slo.queued.record(t.queued());
+    r.slo.h2d.record(t.h2d);
+    r.slo.kernel.record(t.kernel);
+    r.slo.d2h.record(t.d2h);
+    r.cache_hits += u64::from(t.cache_hits);
+    r.cache_misses += u64::from(t.cache_misses);
+    r.bytes_h2d += t.bytes_h2d;
+    r.bytes_d2h += t.bytes_d2h;
 }
 
 /// What one [`JobHandle::drain`] left besides the completions.
@@ -73,8 +74,6 @@ pub(crate) struct Drained {
     pub(crate) failed: Vec<FailedWork>,
     /// This drain's fault/recovery delta for the job, summed over workers.
     pub(crate) faults: FaultLedger,
-    /// The job's pen statistics as of the end of the drain.
-    pub(crate) pen: PenStats,
 }
 
 impl JobHandle {
@@ -124,8 +123,8 @@ impl JobHandle {
         }
     }
 
-    /// Drain every worker and pass each of this job's completions to
-    /// `on_done(worker, work)`.
+    /// Drain every worker, fold each of this job's completions into its
+    /// rollup and pass it to `on_done(worker, work)`.
     ///
     /// First waits at the job gate until every co-tenant at or behind
     /// `last_submit` has also submitted, so the shared drain sees all
@@ -154,6 +153,7 @@ impl JobHandle {
             Default::default()
         };
         fabric.with_managers(|managers| {
+            let mut rollup = self.rollup.lock();
             let mut wall_end = SimTime::ZERO;
             let mut crashed_at: Option<SimTime> = None;
             let mut failed = Vec::new();
@@ -170,6 +170,7 @@ impl JobHandle {
                         breach.gpu = (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu);
                         m.emit(breach);
                     }
+                    fold(&mut rollup, &done);
                     on_done(worker, done);
                 }
                 // This drain's delta of the job's session ledger, not the
@@ -205,13 +206,13 @@ impl JobHandle {
                 crashed_at,
                 failed,
                 faults,
-                pen: pen_stats(managers, job),
             }
         })
     }
 
-    /// Write this invocation's snapshots and return how many were written
-    /// and their bytes.
+    /// Write this invocation's snapshots and fold the checkpoint count and
+    /// bytes, and any restore with its replay delta up to `end`, into the
+    /// job's rollup.
     ///
     /// `blocks` are the works this invocation executed; the restored
     /// snapshot's blocks join them, ready when the restore read landed.
@@ -230,9 +231,9 @@ impl JobHandle {
         end: SimTime,
         crashed_at: Option<SimTime>,
         states: impl FnOnce(&[SimTime]) -> Vec<Vec<u8>>,
-    ) -> (u64, u64) {
+    ) {
         let Some((cluster, name)) = &restore.store else {
-            return (0, 0);
+            return;
         };
         let fabric = &self.fabric;
         let job = self.id();
@@ -288,6 +289,61 @@ impl JobHandle {
                 }
             }
         });
-        (checkpoints, bytes)
+        let mut r = self.rollup.lock();
+        r.checkpoints += checkpoints;
+        r.checkpoint_bytes += bytes;
+        if let Some(rs) = &restore.snapshot {
+            r.restores += 1;
+            r.works_restored += rs.snapshot.blocks.len() as u64;
+            r.recovery_delta.add_time(end.saturating_sub(rs.ready_at));
+        }
+    }
+
+    /// Close the job ([`JobHandle::finish`]) and return its rollup: the
+    /// driver's fields, every worker's session fields merged in worker
+    /// order, the job's pinned-pool statistics, its weight, the trace
+    /// events dropped so far and, when the job ran anything, one activity
+    /// lane per device over `window`. Closing again returns the same
+    /// rollup.
+    pub(crate) fn close(&self, window: SimTime) -> GpuRollup {
+        let trace_dropped = self.fabric.tracer().dropped();
+        let job = self.id();
+        let rollup = self.fabric.with_managers(|managers| {
+            let mut r = self.rollup.lock();
+            if self.closed.load(Ordering::SeqCst) {
+                return r.clone();
+            }
+            for m in managers.iter() {
+                if let Some(s) = m.session(job) {
+                    r.merge(&s.rollup);
+                }
+                let p = m.job_pinned_stats(job);
+                r.pinned_hits += p.hits;
+                r.pinned_misses += p.misses;
+                r.pinned_bytes += p.bytes;
+            }
+            r.weight = self.weight();
+            r.trace_dropped = trace_dropped;
+            if !r.is_empty() {
+                // On a shared fabric a device's activity over the window
+                // includes co-tenant works, which is what device
+                // utilization means there.
+                r.lanes = managers
+                    .iter()
+                    .flat_map(|m| (0..m.gpu_count()).map(move |g| (m, g)))
+                    .map(|(m, g)| GpuLane {
+                        worker: m.worker_id(),
+                        gpu: g,
+                        works: m.executed_per_gpu()[g],
+                        kernel_busy: m.gpu(g).kernel_busy(),
+                        copy_busy: m.gpu(g).copy_busy(),
+                        utilization: m.gpu(g).kernel_utilization(window),
+                    })
+                    .collect();
+            }
+            r.clone()
+        });
+        self.finish();
+        rollup
     }
 }

@@ -24,12 +24,12 @@ use crate::checkpoint::{CheckpointManager, SnapshotBlock};
 use crate::config::CheckpointConfig;
 use crate::gwork::{CacheKey, GWork, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
-use crate::manager::{GpuManager, GpuWorkerConfig, CPU_FALLBACK_GPU};
+use crate::manager::{GpuManager, GpuWorkerConfig};
 use crate::observe::Observer;
 use crate::session::JobId;
 use gflink_flink::dataset::RawPart;
 use gflink_flink::graph::{PhaseKind, PhaseRecord};
-use gflink_flink::{DataSet, FlinkEnv, GpuLane, GpuWorkSample, JobReport, SharedCluster};
+use gflink_flink::{DataSet, FlinkEnv, JobReport, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelId, KernelProfile, KernelRegistry};
 use gflink_memory::{ArenaBuf, DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
 use gflink_sim::{MembershipPlan, Metrics, Phase, SimTime, Tracer};
@@ -602,66 +602,15 @@ impl GflinkEnv {
         }
     }
 
-    /// Finish the job: folds the teardown-time observability fields (the
-    /// job's steal count, per-device activity lanes) into the rollup, tears
-    /// down this job's sessions — releasing exactly its GPU cache regions
-    /// (per §4.2.2 the cache region lives for the job) — and returns the
-    /// report.
+    /// Finish the job: closes it on the fabric — releasing exactly its
+    /// GPU cache regions (per §4.2.2 the cache region lives for the job) —
+    /// and returns the report with the job's GPU rollup, its device lanes
+    /// measured over the job's window.
     pub fn finish(&self) -> JobReport {
-        // Gather before end_job destroys the sessions. Lanes describe
-        // device activity over the job's window; on a shared fabric that
-        // window includes co-tenant works (which is what device
-        // utilization means there).
-        let window = self.flink.frontier();
-        let job = self.handle.id();
-        let trace_dropped = self.fabric.tracer().dropped();
-        self.fabric.with_managers(|managers| {
-            // Session batch-size summaries merge among themselves first,
-            // then into the rollup: one fixed order for the float sums.
-            let mut batch_size = gflink_sim::Summary::default();
-            let pen = crate::driver::pen_stats(managers, job);
-            self.flink.with_gpu_rollup(|r| {
-                for m in managers.iter() {
-                    if let Some(s) = m.session(job) {
-                        r.steals += s.steals;
-                        r.batches += s.batches;
-                        r.batched_works += s.batched_works;
-                        r.alpha_saved += s.alpha_saved;
-                        batch_size.merge(&s.batch_sizes);
-                        r.hybrid_gpu += s.hybrid_gpu;
-                        r.hybrid_cpu += s.hybrid_cpu;
-                        r.hybrid_splits += s.hybrid_splits;
-                        r.hybrid_err.merge(&s.hybrid_err);
-                    }
-                    let p = m.job_pinned_stats(job);
-                    r.pinned_hits += p.hits;
-                    r.pinned_misses += p.misses;
-                    r.pinned_bytes += p.bytes;
-                }
-                r.batch_size.merge(&batch_size);
-                r.weight = self.handle.weight();
-                r.parked_works += pen.parked_works;
-                r.park_delay += pen.park_delay;
-                r.slo.pen.merge(&pen.hist);
-                r.trace_dropped = trace_dropped;
-                if r.lanes.is_empty() && !r.is_empty() {
-                    r.lanes = managers
-                        .iter()
-                        .flat_map(|m| (0..m.gpu_count()).map(move |g| (m, g)))
-                        .map(|(m, g)| GpuLane {
-                            worker: m.worker_id(),
-                            gpu: g,
-                            works: m.executed_per_gpu()[g],
-                            kernel_busy: m.gpu(g).kernel_busy(),
-                            copy_busy: m.gpu(g).copy_busy(),
-                            utilization: m.gpu(g).kernel_utilization(window),
-                        })
-                        .collect();
-                }
-            });
-        });
-        self.handle.finish();
-        self.flink.finish()
+        let gpu = self.handle.close(self.flink.frontier());
+        let mut report = self.flink.finish();
+        report.gpu = (!gpu.is_empty()).then_some(gpu);
+        report
     }
 }
 
@@ -897,26 +846,10 @@ impl<T: GRecord> GDataSet<T> {
         let mut kernel_sum = SimTime::ZERO;
         let mut h2d_sum = SimTime::ZERO;
         let mut d2h_sum = SimTime::ZERO;
-        let drained = handle.drain(last_submit, |worker, done| {
+        let drained = handle.drain(last_submit, |_, done| {
             kernel_sum += done.timing.kernel;
             h2d_sum += done.timing.h2d;
             d2h_sum += done.timing.d2h;
-            // One observability sample per completed work: the job
-            // report's stage histograms, cache hit rate and per-channel
-            // byte counts aggregate these.
-            flink.record_gpu_work(GpuWorkSample {
-                worker,
-                gpu: (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu),
-                queued: done.timing.queued(),
-                h2d: done.timing.h2d,
-                kernel: done.timing.kernel,
-                d2h: done.timing.d2h,
-                total: done.timing.total(),
-                cache_hits: done.timing.cache_hits,
-                cache_misses: done.timing.cache_misses,
-                bytes_h2d: done.timing.bytes_h2d,
-                bytes_d2h: done.timing.bytes_d2h,
-            });
             if restore.enabled() {
                 executed.push(SnapshotBlock {
                     tag: done.tag,
@@ -948,7 +881,7 @@ impl<T: GRecord> GDataSet<T> {
                 ));
             }
         }
-        let (checkpoints, checkpoint_bytes) = handle.write_snapshots(
+        handle.write_snapshots(
             &restore,
             executed,
             wall_start,
@@ -956,18 +889,6 @@ impl<T: GRecord> GDataSet<T> {
             drained.crashed_at,
             |ticks| vec![Vec::new(); ticks.len()],
         );
-        if restore.enabled() {
-            flink.with_gpu_rollup(|r| {
-                r.checkpoints += checkpoints;
-                r.checkpoint_bytes += checkpoint_bytes;
-                if let Some(rs) = &restore.snapshot {
-                    r.restores += 1;
-                    r.works_restored += rs.snapshot.blocks.len() as u64;
-                    r.recovery_delta
-                        .add_time(wall_end.saturating_sub(rs.ready_at));
-                }
-            });
-        }
         // Rebuild partitions from block outputs, in block order.
         let mut new_parts: Vec<RawPart<U>> = Vec::with_capacity(self.ds.num_partitions());
         for (p, part) in self.ds.raw_parts().iter().enumerate() {

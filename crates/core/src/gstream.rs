@@ -844,10 +844,9 @@ impl GStreamManager {
             self.fused_batches += 1;
             self.fused_works += n as u64;
             self.alpha_saved += saved;
-            session.batches += 1;
-            session.batched_works += n as u64;
-            session.alpha_saved += saved;
-            session.batch_sizes.add(n as f64);
+            let works = n as u64;
+            let batched = Kind::Batched { works, saved }.at(t).of(job);
+            eng.obs.emit(Tenants::One(session), batched);
         }
         let fl = Flight {
             seq: self.next_flight,
@@ -1045,10 +1044,7 @@ impl GStreamManager {
         if n > 1 {
             let saved = eng.gmem.gpu(gpu).transfer_path().alpha_saved(n);
             self.alpha_saved += saved;
-            eng.sessions
-                .get_mut(&job)
-                .expect("session open")
-                .alpha_saved += saved;
+            eng.emit(Kind::AlphaSaved(saved).at(t).of(job));
         }
         self.trace_stage(&fl, "d2h", r.start, r.end, n);
         self.free_stream(gpu, stream, r.end, q);

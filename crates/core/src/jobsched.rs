@@ -35,7 +35,9 @@ use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::FailedWork;
 use crate::scheduling::ArbitrationPolicy;
 use crate::session::JobId;
+use gflink_flink::GpuRollup;
 use gflink_sim::{FaultLedger, SimTime};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -356,7 +358,10 @@ pub struct JobHandle {
     pub(crate) fabric: GpuFabric,
     job: JobId,
     weight: u32,
-    closed: AtomicBool,
+    pub(crate) closed: AtomicBool,
+    /// The job's rollup fields the driver writes: per drained work and per
+    /// snapshotting operator invocation (`core/driver.rs`).
+    pub(crate) rollup: Mutex<GpuRollup>,
 }
 
 impl JobHandle {
@@ -366,6 +371,7 @@ impl JobHandle {
             job,
             weight,
             closed: AtomicBool::new(false),
+            rollup: Mutex::new(GpuRollup::default()),
         }
     }
 

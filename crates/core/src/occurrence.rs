@@ -72,6 +72,11 @@ pub(crate) enum Kind<'a> {
     PenReleased { delay: SimTime, depth: u64 },
     /// Alg. 5.2: `stream` stole a foreign queue's head.
     Steal { stream: usize, op: &'a str },
+    /// A fused batch of `works` members was dispatched, saving `saved` of
+    /// per-copy setup on its upload.
+    Batched { works: u64, saved: SimTime },
+    /// A fused batch's readback saved this much per-copy setup.
+    AlphaSaved(SimTime),
     /// The hybrid cost model kept a work on the GPU.
     HybridGpu,
     /// The hybrid cost model ran a work on the host CPU pool.
@@ -262,19 +267,27 @@ impl Kind<'_> {
         )
     }
 
-    /// Session-mirror column: per-job reporting fields outside the ledger.
+    /// Session-mirror column: the session's rollup fields.
     fn mirror(&self, s: &mut JobSession) {
+        let r = &mut s.rollup;
         match *self {
-            Kind::Penned(_) => s.parked_works += 1,
+            Kind::Penned(_) => r.parked_works += 1,
             Kind::PenReleased { delay, .. } => {
-                s.park_delay += delay;
-                s.pen_hist.record(delay);
+                r.park_delay += delay;
+                r.slo.pen.record(delay);
             }
-            Kind::Steal { .. } => s.steals += 1,
-            Kind::HybridGpu => s.hybrid_gpu += 1,
-            Kind::HybridCpu(_) => s.hybrid_cpu += 1,
-            Kind::HybridSplit => s.hybrid_splits += 1,
-            Kind::ModelScored(rel) => s.hybrid_err.record_nanos((rel * 10_000.0) as u64),
+            Kind::Steal { .. } => r.steals += 1,
+            Kind::Batched { works, saved } => {
+                r.batches += 1;
+                r.batched_works += works;
+                r.alpha_saved += saved;
+                r.batch_size.add(works as f64);
+            }
+            Kind::AlphaSaved(saved) => r.alpha_saved += saved,
+            Kind::HybridGpu => r.hybrid_gpu += 1,
+            Kind::HybridCpu(_) => r.hybrid_cpu += 1,
+            Kind::HybridSplit => r.hybrid_splits += 1,
+            Kind::ModelScored(rel) => r.hybrid_err.record_nanos((rel * 10_000.0) as u64),
             _ => {}
         }
     }

@@ -12,9 +12,8 @@
 use crate::cache::GpuCache;
 use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::FailedWork;
-use gflink_sim::{
-    FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, SimTime, Summary,
-};
+use gflink_flink::GpuRollup;
+use gflink_sim::{FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, SimTime};
 use std::collections::BTreeSet;
 
 /// Identity of one submitted job on a worker's GPU manager.
@@ -40,23 +39,14 @@ pub struct JobSession {
     pub(crate) failed: Vec<FailedWork>,
     /// The job's fault/recovery counters, with a delta mark for reporting.
     pub(crate) ledger: LedgerWindow,
-    /// Alg. 5.2 steals that served this job's works.
-    pub(crate) steals: u64,
-    /// Fused transfer batches that carried this job's works.
-    pub(crate) batches: u64,
-    /// Works that travelled inside fused batches.
-    pub(crate) batched_works: u64,
-    /// Per-call transfer overhead (α) saved by fusing this job's copies.
-    pub(crate) alpha_saved: SimTime,
-    /// Distribution of fused batch sizes (works per batch).
-    pub(crate) batch_sizes: Summary,
+    /// The job's rollup fields this worker observes: steals, fused
+    /// batches, pen statistics and hybrid placements. Written only by the
+    /// occurrence table's mirror column; the job driver merges every
+    /// worker's copy when the job closes.
+    pub(crate) rollup: GpuRollup,
     /// Fair-share weight under weighted-fair arbitration and cache
     /// partitioning (1 = baseline tenant).
     pub(crate) weight: u32,
-    /// Submissions parked in the backpressure pen (queued-bytes cap).
-    pub(crate) parked_works: u64,
-    /// Total simulated time this job's works sat penned before release.
-    pub(crate) park_delay: SimTime,
     /// Tags covered by a restored checkpoint: a submission carrying one
     /// of these is satisfied from the snapshot (counted as
     /// `works_restored`) instead of executing — the exactly-once dedup
@@ -66,20 +56,6 @@ pub struct JobSession {
     /// fault/recovery events. Only fed while the metrics plane is
     /// enabled, so the default path allocates and pays nothing.
     pub(crate) recorder: FlightRecorder,
-    /// Pen-delay histogram (per release, not the cumulative `park_delay`),
-    /// merged into the job's SLO rollup at teardown.
-    pub(crate) pen_hist: LogHistogram,
-    /// Works the hybrid cost model routed to a GPU (it would have chosen
-    /// the host otherwise; Alg. 5.1 picked the device).
-    pub(crate) hybrid_gpu: u64,
-    /// Works the hybrid cost model routed to the host CPU pool by choice
-    /// (distinct from `cpu_fallbacks`, the no-GPU-left path).
-    pub(crate) hybrid_cpu: u64,
-    /// Blocks the hybrid cost model split across CPU and GPU.
-    pub(crate) hybrid_splits: u64,
-    /// Relative prediction error per hybrid-placed completion, in basis
-    /// points (1/100 of a percent) — the observed-vs-predicted gauge.
-    pub(crate) hybrid_err: LogHistogram,
 }
 
 impl JobSession {
@@ -90,21 +66,10 @@ impl JobSession {
             completed: Vec::new(),
             failed: Vec::new(),
             ledger: LedgerWindow::default(),
-            steals: 0,
-            batches: 0,
-            batched_works: 0,
-            alpha_saved: SimTime::ZERO,
-            batch_sizes: Summary::new(),
+            rollup: GpuRollup::default(),
             weight: weight.max(1),
-            parked_works: 0,
-            park_delay: SimTime::ZERO,
             covered: BTreeSet::new(),
             recorder: FlightRecorder::default(),
-            pen_hist: LogHistogram::new(),
-            hybrid_gpu: 0,
-            hybrid_cpu: 0,
-            hybrid_splits: 0,
-            hybrid_err: LogHistogram::new(),
         }
     }
 
@@ -116,18 +81,18 @@ impl JobSession {
 
     /// Works the hybrid cost model placed on the host CPU pool by choice.
     pub fn hybrid_cpu(&self) -> u64 {
-        self.hybrid_cpu
+        self.rollup.hybrid_cpu
     }
 
     /// Blocks the hybrid cost model split across CPU and GPU.
     pub fn hybrid_splits(&self) -> u64 {
-        self.hybrid_splits
+        self.rollup.hybrid_splits
     }
 
     /// Relative prediction-error histogram (basis points) over this job's
     /// hybrid-placed completions.
     pub fn hybrid_err(&self) -> &LogHistogram {
-        &self.hybrid_err
+        &self.rollup.hybrid_err
     }
 
     /// Tags this session will satisfy from a restored checkpoint.
@@ -142,12 +107,12 @@ impl JobSession {
 
     /// Submissions parked in the backpressure pen (queued-bytes cap).
     pub fn parked_works(&self) -> u64 {
-        self.parked_works
+        self.rollup.parked_works
     }
 
     /// Total simulated time this job's works sat penned before release.
     pub fn park_delay(&self) -> SimTime {
-        self.park_delay
+        self.rollup.park_delay
     }
 
     /// The job's cache region on device `gpu`.

@@ -661,9 +661,8 @@ impl<'a, T> WindowPipeline<'a, T> {
         }
 
         // --- periodic snapshots, keyed stream state attached ---------------
-        let mut checkpoints = 0u64;
         if !ing.fired.is_empty() {
-            (checkpoints, _) = job.write_snapshots(
+            job.write_snapshots(
                 &restore,
                 executed,
                 first_fire,
@@ -675,7 +674,9 @@ impl<'a, T> WindowPipeline<'a, T> {
                 },
             );
         }
-        job.finish();
+        let gpu = job.close(report.finished_at);
+        let checkpoints = gpu.checkpoints;
+        report.with_rollup(gpu);
 
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
@@ -688,9 +689,9 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 }
 
-/// A report seeded with a GPU stream job's drain: its finish, its
+/// A report seeded with a GPU stream job's drain: its finish and its
 /// terminal failures as lost units (a failed work's tag carries the batch
-/// index or window fire sequence) and its pen statistics.
+/// index or window fire sequence).
 fn drained_report(drained: Drained) -> StreamReport {
     StreamReport {
         finished_at: drained.wall_end,
@@ -703,8 +704,6 @@ fn drained_report(drained: Drained) -> StreamReport {
                 reason: f.reason,
             })
             .collect(),
-        parked_works: drained.pen.parked_works,
-        park_delay: drained.pen.park_delay,
         ..StreamReport::empty()
     }
 }
@@ -789,9 +788,9 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
             let records = spec.decode(&out_def, &done.output, done.emitted).collect();
             completions[done.tag.1 as usize] = Some((done.timing.completed, records));
         });
-        job.finish();
-
+        let gpu = job.close(drained.wall_end);
         let mut report = drained_report(drained);
+        report.with_rollup(gpu);
         for (g, c) in completions.iter().enumerate() {
             if let Some((completed, records)) = c {
                 check(g, records);

@@ -47,6 +47,7 @@ pub use window::{
 use crate::gdst::SpecError;
 use crate::jobsched::AdmissionError;
 use crate::recovery::FailReason;
+use gflink_flink::GpuRollup;
 use gflink_sim::{LogHistogram, SimTime, Summary};
 
 /// Why a stream pipeline refused to run — configuration errors surfaced
@@ -148,6 +149,9 @@ pub struct StreamReport {
     pub parked_works: u64,
     /// Total simulated time submissions sat penned before release.
     pub park_delay: SimTime,
+    /// The job's GPU rollup, as a batch job's `JobReport` carries it.
+    /// `None` on the CPU engine.
+    pub gpu: Option<GpuRollup>,
 }
 
 impl StreamReport {
@@ -162,7 +166,15 @@ impl StreamReport {
             late_records: 0,
             parked_works: 0,
             park_delay: SimTime::ZERO,
+            gpu: None,
         }
+    }
+
+    /// Attach a GPU stream job's closed rollup, with its pen statistics.
+    fn with_rollup(&mut self, gpu: GpuRollup) {
+        self.parked_works = gpu.parked_works;
+        self.park_delay = gpu.park_delay;
+        self.gpu = Some(gpu);
     }
 
     /// Fold one unit released at `release` and completed at `done` into

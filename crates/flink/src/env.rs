@@ -8,7 +8,7 @@
 //! run.
 
 use crate::graph::{JobGraph, PhaseRecord};
-use crate::rollup::{GpuRollup, GpuWorkSample};
+use crate::rollup::GpuRollup;
 use crate::topology::{ClusterConfig, SharedCluster};
 use gflink_sim::{Accounting, FaultLedger, Phase, SimTime};
 use parking_lot::Mutex;
@@ -28,9 +28,6 @@ pub(crate) struct EnvInner {
     /// from it, like locality-aware split assignment — depends only on the
     /// job's own create history, never on what other tenants wrote first.
     pub hdfs_cursor: usize,
-    /// GPU-side observability rollup, fed by the GPU fabric's drain loop.
-    /// Stays empty (and off the report) for CPU-only jobs.
-    pub gpu: GpuRollup,
 }
 
 /// Driver-side handle to a submitted job.
@@ -59,8 +56,9 @@ pub struct JobReport {
     /// fallbacks). All zeros on an undisturbed run.
     pub faults: FaultLedger,
     /// GPU observability rollup: per-stage histograms, cache hit rate,
-    /// bytes per channel, steals and per-device lanes. `None` when the job
-    /// never touched the GPU fabric.
+    /// bytes per channel, steals and per-device lanes, filled in by the GPU
+    /// fabric when it closes the job. `None` when the job never touched
+    /// the fabric.
     pub gpu: Option<GpuRollup>,
 }
 
@@ -83,7 +81,6 @@ impl FlinkEnv {
                 frontier: at + submit,
                 faults: FaultLedger::default(),
                 hdfs_cursor: 0,
-                gpu: GpuRollup::default(),
             })),
         }
     }
@@ -138,17 +135,6 @@ impl FlinkEnv {
         self.inner.lock().faults
     }
 
-    /// Fold one completed GPU work into the job's observability rollup.
-    pub fn record_gpu_work(&self, sample: GpuWorkSample) {
-        self.inner.lock().gpu.record(&sample);
-    }
-
-    /// Run `f` over the job's GPU rollup (steal counts, per-device lanes —
-    /// the fields the fabric fills at teardown rather than per work).
-    pub fn with_gpu_rollup<R>(&self, f: impl FnOnce(&mut GpuRollup) -> R) -> R {
-        f(&mut self.inner.lock().gpu)
-    }
-
     /// The job's private HDFS placement cursor (see [`EnvInner`]): where the
     /// next file this job creates starts its round-robin block placement.
     pub fn hdfs_cursor(&self) -> usize {
@@ -178,8 +164,8 @@ impl FlinkEnv {
         dt
     }
 
-    /// Finish the job: returns the report. The job's total is
-    /// `frontier − submitted_at`.
+    /// Finish the job: returns the report, with no GPU rollup. The job's
+    /// total is `frontier − submitted_at`.
     pub fn finish(&self) -> JobReport {
         let inner = self.inner.lock();
         JobReport {
@@ -190,7 +176,7 @@ impl FlinkEnv {
             acct: inner.acct.clone(),
             graph: inner.graph.clone(),
             faults: inner.faults,
-            gpu: (!inner.gpu.is_empty()).then(|| inner.gpu.clone()),
+            gpu: None,
         }
     }
 }

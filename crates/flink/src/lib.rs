@@ -39,5 +39,5 @@ pub use graph::{JobGraph, PhaseRecord};
 pub use observe::{
     ClusterSnapshot, DeviceSnapshot, DeviceState, JobHealth, SloRollup, WorkerSnapshot,
 };
-pub use rollup::{GpuLane, GpuRollup, GpuWorkSample};
+pub use rollup::{GpuLane, GpuRollup};
 pub use topology::{Cluster, ClusterConfig, NetworkModel, SharedCluster, Worker};
