@@ -12,9 +12,9 @@ use gflink_sim::{RetryPolicy, SimTime};
 /// staging pool, and small-GWork transfer batching.
 ///
 /// The defaults reproduce the pre-optimization timeline byte-for-byte:
-/// `Pinned` mode with zero registration cost *is* the fitted Table 2 path
-/// (the paper measures page-locked direct buffers, so registration is
-/// already inside the fitted α), and batching is off.
+/// `Pinned` mode *is* the fitted Table 2 path (the paper measures
+/// page-locked direct buffers, so buffer registration is already inside
+/// the fitted α and costs nothing extra), and batching is off.
 #[derive(Clone, Debug)]
 pub struct TransferConfig {
     /// Host-side staging behaviour. `Pageable` models the path GFlink's
@@ -23,11 +23,6 @@ pub struct TransferConfig {
     /// Soft budget of registered (page-locked) staging bytes. Buffers
     /// acquired beyond it are unregistered on release instead of recycled.
     pub pinned_pool_bytes: u64,
-    /// Page-locking (registration) throughput in bytes/second, charged once
-    /// per freshly registered staging buffer (a pool miss). `0.0` means
-    /// registration is free — the fitted α already covers it — which keeps
-    /// default timelines identical.
-    pub register_bytes_per_sec: f64,
     /// Small-GWork transfer batching.
     pub batch: BatchConfig,
 }
@@ -37,7 +32,6 @@ impl Default for TransferConfig {
         TransferConfig {
             mode: TransferMode::Pinned,
             pinned_pool_bytes: 64 << 20,
-            register_bytes_per_sec: 0.0,
             batch: BatchConfig::default(),
         }
     }
@@ -56,10 +50,9 @@ impl Default for TransferConfig {
 pub struct BatchConfig {
     /// Master switch; off by default (byte-identical legacy behaviour).
     pub enabled: bool,
-    /// Flush when a pending batch reaches this many works.
+    /// Flush when a pending batch reaches this many works (or 4 MiB of
+    /// summed input bytes).
     pub max_works: usize,
-    /// Flush when a pending batch's summed input bytes would exceed this.
-    pub max_bytes: u64,
     /// Only works whose summed input logical bytes are at or below this
     /// cutoff are batched; bigger works already amortize α on their own.
     pub small_work_bytes: u64,
@@ -73,7 +66,6 @@ impl Default for BatchConfig {
         BatchConfig {
             enabled: false,
             max_works: 8,
-            max_bytes: 4 << 20,
             small_work_bytes: 256 << 10,
             window: SimTime::from_micros(50),
         }
@@ -184,13 +176,6 @@ impl CheckpointConfig {
 /// stay byte-for-byte identical.
 #[derive(Clone, Debug)]
 pub struct HybridConfig {
-    /// EWMA smoothing factor for the online estimators, in `(0, 1]`.
-    /// Higher = adapt faster, forget priors sooner.
-    pub ewma_alpha: f64,
-    /// Safety margin the host prediction must beat every GPU route by
-    /// before work leaves the GPUs (`predict_cpu * cpu_margin <
-    /// best_gpu`). Guards against thrashing on near-ties.
-    pub cpu_margin: f64,
     /// Adaptive sizing: never split a block into pieces smaller than this
     /// many elements (a block below `2 *` this is never split).
     pub min_split_elems: usize,
@@ -198,19 +183,13 @@ pub struct HybridConfig {
     /// factor of parity in either direction — beyond it, one device is so
     /// dominant that splitting just adds launch overheads.
     pub split_balance: f64,
-    /// Shrink the slower side's share of a split when the model's relative
-    /// prediction error (EWMA) exceeds this threshold.
-    pub split_error_threshold: f64,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            ewma_alpha: 0.25,
-            cpu_margin: 1.2,
             min_split_elems: 8_192,
             split_balance: 3.0,
-            split_error_threshold: 0.25,
         }
     }
 }

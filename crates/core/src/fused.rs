@@ -25,6 +25,9 @@ use crate::gwork::GWork;
 use crate::session::JobId;
 use gflink_sim::{EventQueue, SimTime};
 
+/// Flush a pending batch once its summed input bytes reach this.
+const MAX_BATCH_BYTES: u64 = 4 << 20;
+
 /// One entry of a GPU's parked-work queue: a lone work or a fused batch.
 pub(crate) enum Parked {
     /// An ordinary queued work (Algorithm 5.1 lines 11–18).
@@ -123,7 +126,7 @@ impl GStreamManager {
             let b = self.batchers[gpu].as_mut().expect("just ensured");
             b.bytes += work_bytes(&qw.work);
             b.members.push(qw);
-            b.members.len() >= self.batch_cfg.max_works || b.bytes >= self.batch_cfg.max_bytes
+            b.members.len() >= self.batch_cfg.max_works || b.bytes >= MAX_BATCH_BYTES
         };
         if full {
             self.flush_batcher(gpu);

@@ -83,9 +83,6 @@ pub struct GMemoryManager {
     lease_vecs: Vec<Vec<PinnedLease>>,
     /// Host-side staging behaviour of the transfer channel.
     mode: TransferMode,
-    /// Page-locking throughput (bytes/s) charged on a pool miss; `0.0`
-    /// means registration is free (the fitted α already covers it).
-    register_bps: f64,
     tracer: Tracer,
     worker_id: usize,
     /// The live-metrics plane (disabled by default); kept so devices that
@@ -125,7 +122,6 @@ impl GMemoryManager {
             key_vecs: Vec::new(),
             lease_vecs: Vec::new(),
             mode: transfer.mode,
-            register_bps: transfer.register_bytes_per_sec,
             tracer: Tracer::disabled(),
             worker_id: 0,
             metrics: Metrics::disabled(),
@@ -377,23 +373,17 @@ impl GMemoryManager {
     }
 
     /// In pinned mode, route `data` through a page-locked pool buffer:
-    /// lease one (recycled when possible), memcpy into it, and return the
-    /// lease plus the registration cost (zero on a pool hit, or always when
-    /// registration is modelled as free).
-    fn lease_staging(&mut self, owner: u64, data: &HBuffer) -> (Option<PinnedLease>, SimTime) {
+    /// lease one (recycled when possible) and memcpy into it. Registration
+    /// is free: the fitted Table 2 α already covers it.
+    fn lease_staging(&mut self, owner: u64, data: &HBuffer) -> Option<PinnedLease> {
         if self.mode != TransferMode::Pinned || data.is_empty() {
-            return (None, SimTime::ZERO);
+            return None;
         }
         let lease = self.pinned_pool.acquire(owner, data.len());
         self.pinned_pool
             .buffer_mut(&lease)
             .copy_from(0, data, 0, data.len());
-        let reg = if lease.registered_bytes > 0 && self.register_bps > 0.0 {
-            SimTime::from_secs_f64(lease.registered_bytes as f64 / self.register_bps)
-        } else {
-            SimTime::ZERO
-        };
-        (Some(lease), reg)
+        Some(lease)
     }
 
     /// Return staging leases to the pinned pool for recycling (the copies
@@ -511,12 +501,12 @@ impl GMemoryManager {
                             break;
                         }
                     };
-                    let (lease, reg) = self.lease_staging(owner, &inbuf.data);
+                    let lease = self.lease_staging(owner, &inbuf.data);
                     let src: &HBuffer = match &lease {
                         Some(l) => self.pinned_pool.buffer(l),
                         None => &inbuf.data,
                     };
-                    let r = match self.gpus[gpu].copy_h2d(t + reg, inbuf.logical_bytes, src, dev) {
+                    let r = match self.gpus[gpu].copy_h2d(t, inbuf.logical_bytes, src, dev) {
                         Ok(r) => r,
                         Err(e) => {
                             if let Some(l) = lease {
@@ -575,7 +565,6 @@ impl GMemoryManager {
             Direct(usize, usize),
         }
         let mut pending: Vec<(u64, Src, DevBufId, usize)> = Vec::new();
-        let mut reg_total = SimTime::ZERO;
         'members: for (m, mb) in members.iter_mut().enumerate() {
             mb.dev_inputs = self.take_dev_vec();
             mb.transient = self.take_dev_vec();
@@ -601,9 +590,7 @@ impl GMemoryManager {
                         break 'members;
                     }
                 };
-                let (lease, reg) = self.lease_staging(owner, &inbuf.data);
-                reg_total += reg;
-                let src = match lease {
+                let src = match self.lease_staging(owner, &inbuf.data) {
                     Some(l) => {
                         staged.staging.push(l);
                         Src::Lease(staged.staging.len() - 1)
@@ -627,7 +614,7 @@ impl GMemoryManager {
                 (logical, buf, dev)
             })
             .collect();
-        let r = match self.gpus[gpu].copy_h2d_batch(t + reg_total, &items) {
+        let r = match self.gpus[gpu].copy_h2d_batch(t, &items) {
             Ok(r) => r,
             Err(e) => {
                 staged.failure = Some(ManagerError::Device(e));

@@ -284,7 +284,6 @@ fn hybrid_run() -> Views {
         hybrid: HybridConfig {
             min_split_elems: 1,
             split_balance: 1e12,
-            ..HybridConfig::default()
         },
         ..GpuWorkerConfig::default()
     });
